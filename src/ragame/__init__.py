@@ -45,7 +45,6 @@ from .success import (
     SuccessCurve,
     breakpoints,
     lipschitz_constant,
-    opponent_factor,
     success_curve,
     success_probability,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "estimate_success_probability",
     "expected_utility_transmit",
     "lipschitz_constant",
-    "opponent_factor",
     "solve_sequential",
     "solve_symmetric_uniform",
     "success_curve",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -37,68 +37,46 @@ from .strategy import GameConfig, StrategyProfile
 from .success import success_curve
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything one command run depends on."""
+def _load_json(*paths: str) -> list:
+    """Parse JSON files, reading all of them first.
 
-    command: str
-    config_path: str | None = None
-    profile_path: str | None = None
-    out_path: str | None = None
-    seed: int = 0
-    tol: float | None = None
-    grid: int = 1001
-
-    def __post_init__(self):
-        for path in (self.config_path, self.profile_path):
-            if path is not None and not Path(path).is_file():
-                raise DomainError(f"no such file: {path}")
-        if self.tol is not None and self.tol <= 0:
-            raise DomainError(f"tolerance must be positive, got {self.tol!r}")
-        if self.grid < 2:
-            raise DomainError(f"grid must be >= 2, got {self.grid}")
+    A missing input is a domain error (exit 3); reading every file before
+    parsing any makes it win over malformed JSON in another input (exit 2).
+    """
+    texts = []
+    for path in paths:
+        try:
+            texts.append(Path(path).read_text())
+        except OSError as exc:
+            raise DomainError(f"no such file: {path}") from exc
+    return [json.loads(text) for text in texts]
 
 
-def _load_json(path: str):
-    with open(path) as fh:
-        return json.load(fh)
+def _load_game(args) -> tuple[GameConfig, StrategyProfile]:
+    cfg_spec, profile_spec = _load_json(args.config, args.profile)
+    cfg = GameConfig.from_spec(cfg_spec)
+    return cfg, StrategyProfile.from_spec(profile_spec, cfg.radius)
 
 
-def _open_out(path: str | None):
-    return open(path, "w") if path else sys.stdout
-
-
-def _write(out_path: str | None, text: str):
-    fh = _open_out(out_path)
-    try:
-        fh.write(text)
-    finally:
-        if out_path:
-            fh.close()
+@contextmanager
+def _output(path: str | None):
+    """The output file, or stdout when no path is given."""
+    if not path:
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
 def cmd_success_curve(args) -> int:
-    manifest = RunManifest(
-        command="success-curve",
-        config_path=args.config,
-        profile_path=args.profile,
-        out_path=args.out,
-        grid=args.grid,
-    )
-    cfg = GameConfig.from_spec(_load_json(manifest.config_path))
-    profile = StrategyProfile.from_spec(_load_json(manifest.profile_path), cfg.radius)
-    curve = success_curve(profile, cfg, args.node, grid_size=manifest.grid)
-    fh = _open_out(manifest.out_path)
-    try:
+    cfg, profile = _load_game(args)
+    curve = success_curve(profile, cfg, args.node, grid_size=args.grid)
+    with _output(args.out) as fh:
         curve.write_csv(fh)
-    finally:
-        if manifest.out_path:
-            fh.close()
     return 0
 
 
 def cmd_cutoff_sweep(args) -> int:
-    manifest = RunManifest(command="cutoff-sweep", out_path=args.out)
     n_list = [int(x) for x in args.n_list.split(",") if x]
     if args.c_list:
         c_grid = [float(x) for x in args.c_list.split(",") if x]
@@ -110,56 +88,36 @@ def cmd_cutoff_sweep(args) -> int:
     for n in n_list:
         for c in c_grid:
             lines.append(f"{n},{c!r},{solve_symmetric_uniform(n, c, args.radius)!r}\n")
-    _write(manifest.out_path, "".join(lines))
+    with _output(args.out) as fh:
+        fh.write("".join(lines))
     return 0
 
 
-def cmd_equilibrium(args) -> int:
-    manifest = RunManifest(
-        command="equilibrium", config_path=args.config, out_path=args.out, tol=args.tol
-    )
-    cfg = GameConfig.from_spec(_load_json(manifest.config_path))
-    report = solve_sequential(cfg, tol=manifest.tol)
-    _write(manifest.out_path, json.dumps(report.as_dict(), indent=2) + "\n")
+def _write_report(args, report) -> int:
+    with _output(args.out) as fh:
+        fh.write(json.dumps(report.as_dict(), indent=2) + "\n")
     return 0 if report.is_nash else 1
+
+
+def cmd_equilibrium(args) -> int:
+    (spec,) = _load_json(args.config)
+    return _write_report(args, solve_sequential(GameConfig.from_spec(spec), tol=args.tol))
 
 
 def cmd_verify(args) -> int:
-    manifest = RunManifest(
-        command="verify",
-        config_path=args.config,
-        profile_path=args.profile,
-        out_path=args.out,
-        tol=args.tol,
-    )
-    cfg = GameConfig.from_spec(_load_json(manifest.config_path))
-    profile = StrategyProfile.from_spec(_load_json(manifest.profile_path), cfg.radius)
-    report = verify_nash(profile, cfg, tol=manifest.tol)
-    _write(manifest.out_path, json.dumps(report.as_dict(), indent=2) + "\n")
-    return 0 if report.is_nash else 1
+    cfg, profile = _load_game(args)
+    return _write_report(args, verify_nash(profile, cfg, tol=args.tol))
 
 
 def cmd_simulate(args) -> int:
-    manifest = RunManifest(
-        command="simulate",
-        config_path=args.config,
-        profile_path=args.profile,
-        out_path=args.out,
-        seed=args.seed,
-    )
-    cfg = GameConfig.from_spec(_load_json(manifest.config_path))
-    profile = StrategyProfile.from_spec(_load_json(manifest.profile_path), cfg.radius)
-    sim = SimConfig(samples=args.samples, seed=manifest.seed)
+    cfg, profile = _load_game(args)
+    sim = SimConfig(samples=args.samples, seed=args.seed)
     if args.quantity == "utility":
         est = estimate_expected_utility(profile, cfg, args.node, args.d, sim)
     else:
         est = estimate_success_probability(profile, cfg, args.node, args.d, sim)
-    fh = _open_out(manifest.out_path)
-    try:
+    with _output(args.out) as fh:
         write_estimates_csv([args.d], [est], fh)
-    finally:
-        if manifest.out_path:
-            fh.close()
     return 0
 
 

@@ -25,15 +25,17 @@ positive through R: the node transmits everywhere and the profile carries
 ``last_class_full``.  By the same token at most one node ends at R.
 
 Verification is independent of the solver: each node's best response is
-recomputed from scratch and compared against the profile, and the
-structural conditions (at most one cut-off at R; success at interior
-cut-offs equal to cost/(1+cost); equal costs giving equal cut-offs) are
-checked with explicit residuals.
+recomputed from scratch (once per distinct strategy and cost, since nodes
+alike in both face the same opponents) and compared against the profile,
+and the structural conditions (at most one cut-off at R; success at
+interior cut-offs equal to cost/(1+cost); equal costs giving equal
+cut-offs) are checked with explicit residuals.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from .best_response import FULL_TRANSMIT, best_response_threshold
@@ -47,7 +49,7 @@ def cost_target(cost: float) -> float:
     return cost / (1.0 + cost)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostClass:
     """Maximal set of nodes sharing one failure cost."""
 
@@ -68,7 +70,7 @@ def cost_classes(costs) -> list[CostClass]:
     ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThresholdProfile:
     """One cut-off distance per node; the equilibrium object."""
 
@@ -82,7 +84,7 @@ class ThresholdProfile:
         return StrategyProfile(tuple(Strategy.threshold(t, radius) for t in self.thresholds))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of one structural check, with a numeric residual."""
 
@@ -94,13 +96,16 @@ class Verdict:
         return {"passed": self.passed, "residual": self.residual, "detail": self.detail}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassSolution:
     cost: float
     members: tuple[int, ...]
     threshold: float
     success_value: float
-    target: float
+
+    @property
+    def target(self) -> float:
+        return cost_target(self.cost)
 
     @property
     def residual(self) -> float:
@@ -117,21 +122,27 @@ class ClassSolution:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeCheck:
-    """Best-response re-check of one node."""
+    """Best-response re-check of one node.
 
-    index: int
+    Nodes with the same strategy and cost pose one best-response problem,
+    so :func:`verify_nash` shares one check object among them; a node's
+    index is its position in :attr:`EquilibriumReport.nodes`.
+    """
+
     cutoff: float
     best_response: float
     boundary_case: str
-    threshold_residual: float
     symmetric_difference: float
     matched: bool
 
+    @property
+    def threshold_residual(self) -> float:
+        return abs(self.cutoff - self.best_response)
+
     def as_dict(self) -> dict:
         return {
-            "index": self.index,
             "cutoff": self.cutoff,
             "best_response": self.best_response,
             "boundary_case": self.boundary_case,
@@ -141,22 +152,45 @@ class NodeCheck:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumReport:
-    """Solved or candidate profile plus all verification verdicts."""
+    """Solved or candidate profile plus all verification verdicts.
 
-    profile: ThresholdProfile | None
+    Each distinct :class:`NodeCheck` is kept once, and each node stores only
+    the small index of its check; the per-node views ``nodes`` and
+    ``profile`` are built from those on access.  Callers may keep reports
+    by the thousand, and a report then costs about a byte per node.
+    """
+
     classes: tuple[ClassSolution, ...]
-    nodes: tuple[NodeCheck, ...]
+    _checks: tuple[NodeCheck, ...]
+    _check_index: array
+    #: ``last_class_full`` of the cut-off profile; None when some strategy
+    #: is not a cut-off rule, and then ``profile`` is None.
+    _last_class_full: bool | None
     verdicts: dict[str, Verdict] = field(default_factory=dict)
     is_nash: bool = False
 
+    @property
+    def nodes(self) -> tuple[NodeCheck, ...]:
+        """One check per node, in node order; alike nodes share one object."""
+        return tuple(self._checks[k] for k in self._check_index)
+
+    @property
+    def profile(self) -> ThresholdProfile | None:
+        """The checked profile as cut-offs, or None if it is not a cut-off profile."""
+        if self._last_class_full is None:
+            return None
+        cutoffs = tuple(self._checks[k].cutoff for k in self._check_index)
+        return ThresholdProfile(cutoffs, last_class_full=self._last_class_full)
+
     def as_dict(self) -> dict:
+        profile = self.profile
         return {
-            "thresholds": list(self.profile.thresholds) if self.profile else None,
-            "last_class_full": self.profile.last_class_full if self.profile else None,
+            "thresholds": list(profile.thresholds) if profile else None,
+            "last_class_full": profile.last_class_full if profile else None,
             "classes": [c.as_dict() for c in self.classes],
-            "nodes": [n.as_dict() for n in self.nodes],
+            "nodes": [{"index": i, **n.as_dict()} for i, n in enumerate(self.nodes)],
             "verdicts": {k: v.as_dict() for k, v in self.verdicts.items()},
             "is_nash": self.is_nash,
         }
@@ -297,8 +331,10 @@ def verify_nash(
     """Re-check a candidate profile node by node and emit a full report.
 
     Each node's best response is recomputed against the others and compared
-    with the node's actual strategy.  A node matches when the transmit
-    sets' symmetric difference has measure at most that of a
+    with the node's actual strategy; nodes with the same strategy and cost
+    face the same problem, so each distinct (strategy, cost) pair is checked
+    once and its nodes share one :class:`NodeCheck`.  A node matches when
+    the transmit sets' symmetric difference has measure at most that of a
     tol-neighbourhood of the best-response cut-off (``tol`` defaults to
     1e-10 * radius), so measure-null discrepancies never fail the check;
     the raw cut-off residual is reported alongside.  Structural verdicts:
@@ -327,30 +363,44 @@ def verify_nash(
     if strategy_profile.radius != radius:
         raise DomainError("profile radius and game radius disagree")
 
-    # Per-node best-response re-check.
-    nodes = []
-    for i, s in enumerate(strategy_profile.strategies):
+    # A node's best response depends only on its own cost and the multiset
+    # of its opponents' strategies, so nodes alike in both are checked once.
+    keys = list(zip(strategy_profile.strategies, cfg.costs))
+    check_of: dict[tuple[Strategy, float], int] = {}
+    checks, residuals = [], []
+    for i, key in enumerate(keys):
+        if key in check_of:
+            continue
+        check_of[key] = len(checks)
+        s, cost = key
         br = best_response_threshold(strategy_profile, cfg, i)
         cutoff = s.cutoff
-        threshold_residual = abs(cutoff - br.threshold)
         sym_diff = s.symmetric_difference_measure(br.strategy, dist)
         # Discrepancies invisible to the law (null sets) must pass, so the
         # measure bar is the mass of a tol-ball around the best response.
         ball_lo = max(0.0, br.threshold - tol)
         ball_hi = min(radius, br.threshold + tol)
         measure_bar = dist.interval_measure(ball_lo, ball_hi) + 1e-15
-        matched = sym_diff <= measure_bar
-        nodes.append(
+        checks.append(
             NodeCheck(
-                index=i,
                 cutoff=cutoff,
                 best_response=br.threshold,
                 boundary_case=br.boundary_case,
-                threshold_residual=threshold_residual,
                 symmetric_difference=sym_diff,
-                matched=matched,
+                matched=sym_diff <= measure_bar,
             )
         )
+        # Success at an interior cut-off must sit at the break-even target;
+        # a node stopping only at R needs success(R) >= target.
+        target = cost_target(cost)
+        if cutoff >= radius - tol:
+            shortfall = target - success_probability(strategy_profile, cfg, i, radius)
+            residuals.append(max(0.0, shortfall))
+        else:
+            g = success_probability(strategy_profile, cfg, i, cutoff)
+            residuals.append(abs(g - target))
+    check_index = array("B" if len(checks) <= 256 else "I", (check_of[key] for key in keys))
+    nodes = [checks[k] for k in check_index]
     is_nash = all(nc.matched for nc in nodes)
 
     cutoffs = [nc.cutoff for nc in nodes]
@@ -363,17 +413,6 @@ def verify_nash(
         detail=f"nodes with cut-off at R: {at_r}",
     )
 
-    # Success at interior cut-offs must sit at the break-even target;
-    # a node stopping only at R needs success(R) >= target.
-    residuals = []
-    for i, t in enumerate(cutoffs):
-        target = cost_target(cfg.costs[i])
-        if t >= radius - tol:
-            shortfall = target - success_probability(strategy_profile, cfg, i, radius)
-            residuals.append(max(0.0, shortfall))
-        else:
-            g = success_probability(strategy_profile, cfg, i, t)
-            residuals.append(abs(g - target))
     worst = max(residuals)
     verdict_targets = Verdict(
         passed=worst <= residual_tol,
@@ -383,8 +422,9 @@ def verify_nash(
     )
 
     # Equal costs force equal cut-offs (and equivalent strategies).
+    classes = cost_classes(cfg.costs)
     eq_residual = 0.0
-    for cls in cost_classes(cfg.costs):
+    for cls in classes:
         for m in cls.members[1:]:
             eq_residual = max(eq_residual, abs(cutoffs[m] - cutoffs[cls.members[0]]))
             eq_residual = max(
@@ -406,33 +446,30 @@ def verify_nash(
     }
 
     # Class table, evaluated at the profile's own cut-offs.
-    classes = []
-    for cls in cost_classes(cfg.costs):
+    solutions = []
+    for cls in classes:
         t = cutoffs[cls.members[0]]
         g = success_probability(strategy_profile, cfg, cls.members[0], min(t, radius))
-        classes.append(
+        solutions.append(
             ClassSolution(
                 cost=cls.cost,
                 members=cls.members,
                 threshold=t,
                 success_value=g,
-                target=cost_target(cls.cost),
             )
         )
 
-    threshold_profile = None
-    if all(s.is_threshold for s in strategy_profile.strategies):
-        if last_class_full is None:
-            full = [nc for nc in nodes if nc.cutoff >= radius - tol]
-            last_class_full = bool(full) and all(
-                nc.boundary_case == FULL_TRANSMIT for nc in full
-            )
-        threshold_profile = ThresholdProfile(tuple(cutoffs), last_class_full=last_class_full)
+    if not all(s.is_threshold for s in strategy_profile.strategies):
+        last_class_full = None
+    elif last_class_full is None:
+        full = [nc for nc in nodes if nc.cutoff >= radius - tol]
+        last_class_full = bool(full) and all(nc.boundary_case == FULL_TRANSMIT for nc in full)
 
     return EquilibriumReport(
-        profile=threshold_profile,
-        classes=tuple(classes),
-        nodes=tuple(nodes),
+        classes=tuple(solutions),
+        _checks=tuple(checks),
+        _check_index=check_index,
+        _last_class_full=last_class_full,
         verdicts=verdicts,
         is_nash=is_nash,
     )

@@ -37,11 +37,10 @@ CHUNK_SIZE = 1 << 16
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation size, seed, and (optionally) the conditioned node."""
+    """Simulation size and seed."""
 
     samples: int
     seed: int
-    conditioned_node: tuple[int, float] | None = None
 
     def __post_init__(self):
         if self.samples < 1:
@@ -60,13 +59,6 @@ class SimEstimate:
 def _chunk_seeds(seed: int, samples: int):
     n_chunks = math.ceil(samples / CHUNK_SIZE)
     return np.random.SeedSequence(seed).spawn(n_chunks)
-
-
-def _check_conditioning(sim: SimConfig, i: int, d: float):
-    if sim.conditioned_node is not None and sim.conditioned_node != (i, d):
-        raise DomainError(
-            f"sim config conditions node {sim.conditioned_node}, called with {(i, d)}"
-        )
 
 
 def _closest_transmitter_distances(profile, cfg, i, rng, size) -> np.ndarray:
@@ -90,7 +82,6 @@ def estimate_success_probability(
     Node i is forced to transmit; success means no transmitting opponent is
     strictly closer than d.
     """
-    _check_conditioning(sim, i, d)
     profile.check_index(i)
     if d < 0 or d > cfg.radius:
         raise DomainError(f"distance {d!r} outside [0, {cfg.radius}]")

@@ -175,16 +175,10 @@ class Strategy:
 
         Evaluated as a sum of clamped CDF differences, one per interval, so
         along a grid of d values the result is exactly non-decreasing in
-        floating point (each term is).
+        floating point (each term is).  This is the array kernel behind
+        success curves; the scalar one is ``success.success_evaluator``.
         """
         self._check_dist(dist)
-        if isinstance(d, (float, int)):
-            total = 0.0
-            for a, b in self.intervals:
-                x = d if d < b else b
-                if x > a:
-                    total += dist.cdf_scalar(x) - dist.cdf_scalar(a)
-            return total
         arr = np.asarray(d, dtype=float)
         total = np.zeros(arr.shape)
         for a, b in self.intervals:

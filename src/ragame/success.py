@@ -27,32 +27,15 @@ import numpy as np
 
 from .errors import DomainError
 from .radial import RadialDistribution
-from .strategy import GameConfig, Strategy, StrategyProfile
-
-
-def opponent_factor(strategy: Strategy, dist: RadialDistribution, d):
-    """q_j(d): probability that one opponent does not preempt distance d.
-
-    For a cut-off rule with cutoff t this equals 1 - F(min(d, t)).  Accepts
-    a scalar or an array of distances.
-    """
-    if isinstance(d, (float, int)):
-        if d < 0 or d > dist.radius:
-            raise DomainError(f"distance {d!r} outside [0, {dist.radius}]")
-        return 1.0 - strategy.transmit_mass_below(dist, float(d))
-    arr = np.asarray(d, dtype=float)
-    if np.any(arr < 0) or np.any(arr > dist.radius):
-        raise DomainError(f"distance {d!r} outside [0, {dist.radius}]")
-    out = 1.0 - strategy.transmit_mass_below(dist, arr)
-    return float(out) if arr.ndim == 0 else out
+from .strategy import GameConfig, StrategyProfile
 
 
 def success_evaluator(profile: StrategyProfile, cfg: GameConfig, i: int):
     """Scalar success-probability closure with all validation hoisted.
 
-    Root-finders evaluate the curve millions of times; this strips the
-    per-call overhead while computing exactly the same clamped-CDF sums as
-    :func:`success_probability`.
+    This is the one scalar kernel: each opponent contributes the factor
+    q_j(d) = 1 - (clamped-CDF sum over its transmit intervals).  Root-finders
+    evaluate it millions of times, so validation runs once, at build time.
     """
     _check(profile, cfg)
     profile.check_index(i)
@@ -76,18 +59,17 @@ def success_evaluator(profile: StrategyProfile, cfg: GameConfig, i: int):
 def success_probability(profile: StrategyProfile, cfg: GameConfig, i: int, d):
     """Probability that node i's packet is captured when transmitted from d.
 
-    Product of :func:`opponent_factor` over all opponents; node i's own
-    strategy does not enter.  Accepts a scalar or an array of distances.
+    Product over all opponents of q_j(d) = 1 - mu(transmit_j intersect
+    [0, d]); node i's own strategy does not enter.  Accepts a scalar, which
+    goes through :func:`success_evaluator`, or an array of distances, which
+    goes through :meth:`Strategy.transmit_mass_below`.
     """
     _check(profile, cfg)
     profile.check_index(i)
     if isinstance(d, (float, int)):
         if d < 0 or d > cfg.radius:
             raise DomainError(f"distance {d!r} outside [0, {cfg.radius}]")
-        out = 1.0
-        for s in profile.opponents(i):
-            out *= 1.0 - s.transmit_mass_below(cfg.distribution, float(d))
-        return out
+        return success_evaluator(profile, cfg, i)(float(d))
     arr = np.asarray(d, dtype=float)
     if np.any(arr < 0) or np.any(arr > cfg.radius):
         raise DomainError(f"distance {d!r} outside [0, {cfg.radius}]")

@@ -75,10 +75,24 @@ def test_missing_file_exits_3(capsys, tmp_path):
     )
     assert code == 3
     assert "no such file" in err
+    missing = str(tmp_path / "nope.json")
+    for argv in (
+        ["verify", "--config", TWO_NODE, "--profile", missing],
+        ["simulate", "--config", TWO_NODE, "--profile", missing, "--node", "0", "--d", "3.0"],
+    ):
+        code, _, err = run(capsys, argv)
+        assert code == 3
+        assert "no such file" in err
 
 
 def test_bad_tolerance_exits_3(capsys):
     code, _, _ = run(capsys, ["equilibrium", "--config", TWO_NODE, "--tol", "-1"])
+    assert code == 3
+    code, _, _ = run(
+        capsys,
+        ["success-curve", "--config", TWO_NODE, "--profile", INNER_HALF,
+         "--node", "0", "--grid", "1"],
+    )
     assert code == 3
 
 

@@ -186,6 +186,35 @@ def test_verify_handles_general_interval_profiles():
     assert report.nodes[0].symmetric_difference > 0.01
 
 
+def test_verify_checks_each_distinct_node_once(monkeypatch):
+    import ragame.equilibrium as eq
+
+    cfg = uniform_cfg([2.0] * 25 + [1.0] * 25)
+    profile = solve_sequential(cfg).profile
+    calls = []
+    real = eq.best_response_threshold
+
+    def counting(strategy_profile, game, i, *args, **kwargs):
+        calls.append(i)
+        return real(strategy_profile, game, i, *args, **kwargs)
+
+    monkeypatch.setattr(eq, "best_response_threshold", counting)
+    report = verify_nash(profile, cfg)
+    assert report.is_nash
+    assert calls == [0, 25]
+    assert all(node is report.nodes[0] for node in report.nodes[:25])
+    assert all(node is report.nodes[25] for node in report.nodes[25:])
+
+    # the same strategy under another cost is another best-response problem
+    calls.clear()
+    report = verify_nash(ThresholdProfile((profile.thresholds[0],) * 50), cfg)
+    assert calls == [0, 25]
+    assert report.nodes[0].best_response != report.nodes[25].best_response
+
+    for i, node in enumerate(report.as_dict()["nodes"]):
+        assert next(iter(node.items())) == ("index", i)
+
+
 def test_damped_iteration_agrees_with_sequential():
     for costs in ((1.0, 1.0), (3.0, 1.0), (3.0, 3.0, 1.0), (2.0, 1.0, 0.5)):
         cfg = uniform_cfg(costs)

@@ -140,16 +140,6 @@ def test_tie_broken_in_favour_and_logged(caplog):
     assert any("tie" in rec.message for rec in caplog.records)
 
 
-def test_conditioned_node_consistency():
-    cfg = cfg_n(2)
-    profile = StrategyProfile((Strategy.always(R), Strategy.always(R)))
-    sim = SimConfig(samples=10, seed=0, conditioned_node=(0, 3.0))
-    est = estimate_success_probability(profile, cfg, 0, 3.0, sim)
-    assert est.samples == 10
-    with pytest.raises(DomainError):
-        estimate_success_probability(profile, cfg, 1, 3.0, sim)
-
-
 def test_sim_config_validation():
     with pytest.raises(DomainError):
         SimConfig(samples=0, seed=1)

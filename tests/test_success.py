@@ -10,7 +10,6 @@ from ragame import (
     Strategy,
     StrategyProfile,
     breakpoints,
-    opponent_factor,
     success_curve,
     success_probability,
 )
@@ -37,13 +36,13 @@ def test_opponent_factor_at_zero_is_one():
 
     for _ in range(50):
         s = random_strategy(rng, R)
-        assert opponent_factor(s, DISK, 0.0) == 1.0
+        assert 1.0 - s.transmit_mass_below(DISK, 0.0) == 1.0
 
 
 def test_opponent_factor_threshold_values():
     s = Strategy.threshold(6.0, R)
-    assert opponent_factor(s, DISK, 3.0) == 0.9375  # 1 - 9/144
-    assert opponent_factor(s, DISK, 9.0) == 0.75    # 1 - F(min(9, 6))
+    assert 1.0 - s.transmit_mass_below(DISK, 3.0) == 0.9375  # 1 - 9/144
+    assert 1.0 - s.transmit_mass_below(DISK, 9.0) == 0.75    # 1 - F(min(9, 6))
 
 
 def test_opponent_factor_equals_direct_union_measure():
@@ -58,7 +57,7 @@ def test_opponent_factor_equals_direct_union_measure():
             direct = union_measure(
                 cdf, [(d, R)] + [list(iv) for iv in s.backoff_intervals()]
             )
-            assert abs(opponent_factor(s, dist, float(d)) - direct) <= 1e-12
+            assert abs((1.0 - s.transmit_mass_below(dist, float(d))) - direct) <= 1e-12
 
 
 def test_success_probability_examples():
