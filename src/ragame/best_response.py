@@ -18,10 +18,18 @@ distance, back off beyond it.  Three regimes arise:
 The interior cut-off is the *first* zero of util.  Because util can be
 exactly flat at zero over whole intervals (wherever every opponent is
 silent), a plain sign-change bisection may land anywhere on the plateau; the
-solver instead scans the breakpoint partition of the success curve left to
-right, brackets the first cell whose right edge has util <= 0, and bisects
-with the invariant util(lo) > 0 >= util(hi).  That invariant converges to
+solver instead brackets the first cell of the breakpoint partition of the
+success curve whose right edge has util <= 0, and bisects with the
+invariant util(lo) > 0 >= util(hi).  That invariant converges to
 inf{d : util(d) <= 0}, i.e. the left edge of any flat-at-zero stretch.
+
+The bracketing cell is found by binary search over the breakpoints, not by
+a left-to-right scan.  That relies on monotonicity: util is non-increasing,
+so the breakpoints with util <= 0 form a suffix of the sorted list, and
+the first of them is found with O(log n) evaluations instead of O(n).  In
+floating point the computed util is non-increasing wherever the computed
+CDF is non-decreasing (see the ``success`` module for the one-ulp
+exception of piecewise-linear laws).
 
 One region needs the zero-tie tolerance rather than exact signs: beyond the
 last distance at which any opponent still transmits, util is bit-exactly
@@ -34,6 +42,7 @@ at zero and the cut-off resolves to its left edge.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericError
@@ -107,16 +116,11 @@ def best_response_threshold(
         (s.intervals[-1][1] for s in profile.opponents(i) if s.intervals), default=0.0
     )
 
-    # Scan the breakpoint partition up to the terminal region for the first
+    # Search the breakpoint partition up to the terminal region for the first
     # cell whose right edge is non-positive; util > 0 on every cell before it.
-    edges = [b for b in breakpoints(profile, i) if 0.0 < b <= silent_tail_start]
-    lo, hi = 0.0, None
-    for edge in edges:
-        if util(edge) <= 0.0:
-            hi = edge
-            break
-        lo = edge
-    if hi is None:
+    edges = [b for b in breakpoints(profile, i).tolist() if 0.0 < b <= silent_tail_start]
+    k = bisect_left(edges, True, key=lambda edge: util(edge) <= 0.0)
+    if k == len(edges):
         # util > 0 strictly until the terminal region, where it is constant
         # and tied at zero within VALUE_TOL: back off from the region's left
         # edge, or only at R itself if opponents transmit all the way out.
@@ -135,6 +139,7 @@ def best_response_threshold(
         )
 
     # First-hit bisection: keep util(lo) > 0 >= util(hi).
+    lo, hi = edges[k - 1] if k else 0.0, edges[k]
     for _ in range(max_iter):
         if tol is not None and hi - lo <= tol:
             break

@@ -38,7 +38,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 
-from .best_response import FULL_TRANSMIT, best_response_threshold
+from .best_response import BOUNDARY_ZERO, FULL_TRANSMIT, INTERIOR, best_response_threshold
 from .errors import DomainError, NumericError
 from .strategy import GameConfig, Strategy, StrategyProfile
 from .success import success_probability
@@ -152,37 +152,119 @@ class NodeCheck:
         }
 
 
+#: A check's code holds its boundary case, as an index into _CASES, in bits
+#: 0-1, then the _MATCHED and _AT_R bits, then its cost class rank from bit
+#: _RANK_SHIFT up.
+_CASES = (INTERIOR, FULL_TRANSMIT, BOUNDARY_ZERO)
+_MATCHED = 1 << 2
+_AT_R = 1 << 3
+_RANK_SHIFT = 4
+#: Bits of a report's flags: two verdicts' outcomes, whether the profile is
+#: a cut-off profile, and then its ``last_class_full``.
+_TARGETS_PASSED = 1 << 0
+_EQUAL_PASSED = 1 << 1
+_CUTOFF_PROFILE = 1 << 2
+_LAST_CLASS_FULL = 1 << 3
+
+_TARGETS_DETAIL = (
+    "max |success(cutoff) - cost/(1+cost)| over nodes (shortfall only for a node at R)"
+)
+_EQUAL_DETAIL = "max cut-off / transmit-set discrepancy within a cost class"
+
+
+def _packed(values) -> bytes | array:
+    """Unsigned integers as bytes, or in the narrowest array that holds them."""
+    values = list(values)
+    top = max(values, default=0)
+    if top < 1 << 8:
+        return bytes(values)
+    return array("H" if top < 1 << 16 else "I", values)
+
+
 @dataclass(frozen=True, slots=True)
 class EquilibriumReport:
     """Solved or candidate profile plus all verification verdicts.
 
-    Each distinct :class:`NodeCheck` is kept once, and each node stores only
-    the small index of its check; the per-node views ``nodes`` and
-    ``profile`` are built from those on access.  Callers may keep reports
-    by the thousand, and a report then costs about a byte per node.
+    Callers may keep reports by the thousand, so a report is stored packed:
+
+    * ``_values``: the three verdict residuals, then cut-off, best response
+      and symmetric difference of each distinct check, then cost, cut-off
+      and success value of each cost class;
+    * ``_codes``: one integer per check holding its boundary case, whether
+      it matched, whether its cut-off is at R, and its cost class rank;
+    * ``_check_index``: per node, the index of its check.
+
+    ``classes``, ``verdicts``, ``nodes`` and ``profile`` are built from
+    these on access.  ``nodes`` builds each distinct :class:`NodeCheck` on
+    first access and keeps it, so alike nodes share one object.
     """
 
-    classes: tuple[ClassSolution, ...]
-    _checks: tuple[NodeCheck, ...]
-    _check_index: array
-    #: ``last_class_full`` of the cut-off profile; None when some strategy
-    #: is not a cut-off rule, and then ``profile`` is None.
-    _last_class_full: bool | None
-    verdicts: dict[str, Verdict] = field(default_factory=dict)
-    is_nash: bool = False
+    _values: array
+    _codes: bytes | array
+    _check_index: bytes | array
+    _flags: int
+    is_nash: bool
+    _checks: tuple[NodeCheck, ...] | None = field(default=None, repr=False, compare=False)
 
     @property
     def nodes(self) -> tuple[NodeCheck, ...]:
         """One check per node, in node order; alike nodes share one object."""
+        if self._checks is None:
+            v = self._values
+            checks = tuple(
+                NodeCheck(
+                    cutoff=v[3 * k + 3],
+                    best_response=v[3 * k + 4],
+                    boundary_case=_CASES[code & 3],
+                    symmetric_difference=v[3 * k + 5],
+                    matched=bool(code & _MATCHED),
+                )
+                for k, code in enumerate(self._codes)
+            )
+            object.__setattr__(self, "_checks", checks)
         return tuple(self._checks[k] for k in self._check_index)
 
     @property
     def profile(self) -> ThresholdProfile | None:
         """The checked profile as cut-offs, or None if it is not a cut-off profile."""
-        if self._last_class_full is None:
+        if not self._flags & _CUTOFF_PROFILE:
             return None
-        cutoffs = tuple(self._checks[k].cutoff for k in self._check_index)
-        return ThresholdProfile(cutoffs, last_class_full=self._last_class_full)
+        cutoffs = tuple(self._values[3 * k + 3] for k in self._check_index)
+        return ThresholdProfile(cutoffs, last_class_full=bool(self._flags & _LAST_CLASS_FULL))
+
+    @property
+    def classes(self) -> tuple[ClassSolution, ...]:
+        """One solution per cost class, costliest first, at the profile's cut-offs."""
+        base = 3 + 3 * len(self._codes)
+        members = [[] for _ in range((len(self._values) - base) // 3)]
+        for i, k in enumerate(self._check_index):
+            members[self._codes[k] >> _RANK_SHIFT].append(i)
+        v = self._values
+        return tuple(
+            ClassSolution(
+                cost=v[base + 3 * r],
+                members=tuple(m),
+                threshold=v[base + 3 * r + 1],
+                success_value=v[base + 3 * r + 2],
+            )
+            for r, m in enumerate(members)
+        )
+
+    @property
+    def verdicts(self) -> dict[str, Verdict]:
+        at_r = [i for i, k in enumerate(self._check_index) if self._codes[k] & _AT_R]
+        single, targets, equal = self._values[:3]
+        return {
+            "single_full_transmitter": Verdict(
+                len(at_r) <= 1, single, f"nodes with cut-off at R: {at_r}"
+            ),
+            "interior_success_targets": Verdict(
+                bool(self._flags & _TARGETS_PASSED), targets, _TARGETS_DETAIL
+            ),
+            "equal_costs_equal_cutoffs": Verdict(
+                bool(self._flags & _EQUAL_PASSED), equal, _EQUAL_DETAIL
+            ),
+        }
 
     def as_dict(self) -> dict:
         profile = self.profile
@@ -365,13 +447,15 @@ def verify_nash(
 
     # A node's best response depends only on its own cost and the multiset
     # of its opponents' strategies, so nodes alike in both are checked once.
+    classes = cost_classes(cfg.costs)
+    rank_of = {cls.cost: cls.rank for cls in classes}
     keys = list(zip(strategy_profile.strategies, cfg.costs))
     check_of: dict[tuple[Strategy, float], int] = {}
-    checks, residuals = [], []
+    check_values, codes, residuals = [], [], []
     for i, key in enumerate(keys):
         if key in check_of:
             continue
-        check_of[key] = len(checks)
+        check_of[key] = len(codes)
         s, cost = key
         br = best_response_threshold(strategy_profile, cfg, i)
         cutoff = s.cutoff
@@ -381,95 +465,71 @@ def verify_nash(
         ball_lo = max(0.0, br.threshold - tol)
         ball_hi = min(radius, br.threshold + tol)
         measure_bar = dist.interval_measure(ball_lo, ball_hi) + 1e-15
-        checks.append(
-            NodeCheck(
-                cutoff=cutoff,
-                best_response=br.threshold,
-                boundary_case=br.boundary_case,
-                symmetric_difference=sym_diff,
-                matched=sym_diff <= measure_bar,
-            )
+        at_r = cutoff >= radius - tol
+        check_values += (cutoff, br.threshold, sym_diff)
+        codes.append(
+            rank_of[cost] << _RANK_SHIFT
+            | (_AT_R if at_r else 0)
+            | (_MATCHED if sym_diff <= measure_bar else 0)
+            | _CASES.index(br.boundary_case)
         )
         # Success at an interior cut-off must sit at the break-even target;
         # a node stopping only at R needs success(R) >= target.
         target = cost_target(cost)
-        if cutoff >= radius - tol:
+        if at_r:
             shortfall = target - success_probability(strategy_profile, cfg, i, radius)
             residuals.append(max(0.0, shortfall))
         else:
             g = success_probability(strategy_profile, cfg, i, cutoff)
             residuals.append(abs(g - target))
-    check_index = array("B" if len(checks) <= 256 else "I", (check_of[key] for key in keys))
-    nodes = [checks[k] for k in check_index]
-    is_nash = all(nc.matched for nc in nodes)
-
-    cutoffs = [nc.cutoff for nc in nodes]
+    check_index = _packed(check_of[key] for key in keys)
+    is_nash = all(code & _MATCHED for code in codes)
+    cutoffs = [check_values[3 * k] for k in check_index]
 
     # At most one node may transmit all the way to R.
-    at_r = [i for i, t in enumerate(cutoffs) if t >= radius - tol]
-    verdict_single_full = Verdict(
-        passed=len(at_r) <= 1,
-        residual=float(max(0, len(at_r) - 1)),
-        detail=f"nodes with cut-off at R: {at_r}",
-    )
-
+    n_at_r = sum(1 for k in check_index if codes[k] & _AT_R)
     worst = max(residuals)
-    verdict_targets = Verdict(
-        passed=worst <= residual_tol,
-        residual=worst,
-        detail="max |success(cutoff) - cost/(1+cost)| over nodes "
-        "(shortfall only for a node at R)",
-    )
 
-    # Equal costs force equal cut-offs (and equivalent strategies).
-    classes = cost_classes(cfg.costs)
+    # Equal costs force equal cut-offs (and equivalent strategies).  A member
+    # sharing the head's check has the head's strategy, and both
+    # discrepancies are then exactly zero.
     eq_residual = 0.0
     for cls in classes:
+        head = cls.members[0]
         for m in cls.members[1:]:
-            eq_residual = max(eq_residual, abs(cutoffs[m] - cutoffs[cls.members[0]]))
+            if check_index[m] == check_index[head]:
+                continue
+            eq_residual = max(eq_residual, abs(cutoffs[m] - cutoffs[head]))
             eq_residual = max(
                 eq_residual,
                 strategy_profile.strategies[m].symmetric_difference_measure(
-                    strategy_profile.strategies[cls.members[0]], dist
+                    strategy_profile.strategies[head], dist
                 ),
             )
-    verdict_equal_costs = Verdict(
-        passed=eq_residual <= tol,
-        residual=eq_residual,
-        detail="max cut-off / transmit-set discrepancy within a cost class",
-    )
-
-    verdicts = {
-        "single_full_transmitter": verdict_single_full,
-        "interior_success_targets": verdict_targets,
-        "equal_costs_equal_cutoffs": verdict_equal_costs,
-    }
 
     # Class table, evaluated at the profile's own cut-offs.
-    solutions = []
+    class_values = []
     for cls in classes:
         t = cutoffs[cls.members[0]]
         g = success_probability(strategy_profile, cfg, cls.members[0], min(t, radius))
-        solutions.append(
-            ClassSolution(
-                cost=cls.cost,
-                members=cls.members,
-                threshold=t,
-                success_value=g,
+        class_values += (cls.cost, t, g)
+
+    flags = (_TARGETS_PASSED if worst <= residual_tol else 0) | (
+        _EQUAL_PASSED if eq_residual <= tol else 0
+    )
+    if all(s.is_threshold for s in strategy_profile.strategies):
+        if last_class_full is None:
+            full = [code for code in codes if code & _AT_R]
+            last_class_full = bool(full) and all(
+                _CASES[code & 3] == FULL_TRANSMIT for code in full
             )
-        )
+        flags |= _CUTOFF_PROFILE | (_LAST_CLASS_FULL if last_class_full else 0)
 
-    if not all(s.is_threshold for s in strategy_profile.strategies):
-        last_class_full = None
-    elif last_class_full is None:
-        full = [nc for nc in nodes if nc.cutoff >= radius - tol]
-        last_class_full = bool(full) and all(nc.boundary_case == FULL_TRANSMIT for nc in full)
-
+    residual_values = (float(max(0, n_at_r - 1)), worst, eq_residual)
     return EquilibriumReport(
-        classes=tuple(solutions),
-        _checks=tuple(checks),
+        _values=array("d", (*residual_values, *check_values, *class_values)),
+        _codes=_packed(codes),
         _check_index=check_index,
-        _last_class_full=last_class_full,
-        verdicts=verdicts,
+        _flags=flags,
         is_nash=is_nash,
     )

@@ -159,6 +159,8 @@ def estimate_expected_utility(
 
 def write_estimates_csv(grid, estimates, fileobj):
     """CSV rows d, estimate, std_error (header included)."""
-    fileobj.write("d,estimate,std_error\n")
-    for d, est in zip(grid, estimates):
-        fileobj.write(f"{float(d)!r},{est.mean!r},{est.std_error!r}\n")
+    rows = (
+        f"{d!r},{est.mean!r},{est.std_error!r}\n"
+        for d, est in zip(np.asarray(grid, dtype=float).tolist(), estimates)
+    )
+    fileobj.write("d,estimate,std_error\n" + "".join(rows))

@@ -14,7 +14,7 @@ is pinned down only to make set algebra exact.  A transmit region written
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -206,6 +206,8 @@ class StrategyProfile:
     """One strategy per node."""
 
     strategies: tuple[Strategy, ...]
+    #: (law, per-strategy CDF rows) cached by ``success.success_evaluator``.
+    _cdf_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "strategies", tuple(self.strategies))

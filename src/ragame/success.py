@@ -13,10 +13,12 @@ the complement of (j's transmit set intersected with [0, d]), so
     q_j(d) = 1 - mu(transmit_j  intersect  [0, d]),
 
 which is the form computed here: a sum of clamped CDF differences.  It is
-exact, and along any grid of d values it is non-increasing in floating point
-term by term, so monotonicity of the curve is exact rather than approximate.
-The measure-theoretic union form is the natural independent oracle against
-which this identity is tested.
+exact, and in floating point it is non-increasing in d term by term
+wherever the computed CDF is non-decreasing.  That holds everywhere for the
+uniform disk, but a piecewise-linear CDF (``cdf_scalar`` and ``np.interp``
+alike) can step down by one ulp just below a knot, and the success value
+then rises by about an ulp there.  The measure-theoretic union form is the
+natural independent oracle against which this identity is tested.
 """
 
 from __future__ import annotations
@@ -29,31 +31,64 @@ from .errors import DomainError
 from .radial import RadialDistribution
 from .strategy import GameConfig, StrategyProfile
 
+#: Rows per write in :meth:`SuccessCurve.write_csv`.
+_CSV_BLOCK = 4096
+
 
 def success_evaluator(profile: StrategyProfile, cfg: GameConfig, i: int):
     """Scalar success-probability closure with all validation hoisted.
 
     This is the one scalar kernel: each opponent contributes the factor
     q_j(d) = 1 - (clamped-CDF sum over its transmit intervals).  Root-finders
-    evaluate it millions of times, so validation runs once, at build time.
+    evaluate it millions of times, so validation runs once, at build time,
+    and so do the CDF values at the interval endpoints (see
+    :func:`_cdf_rows`): an evaluation makes one CDF call, F(d), and sums
+    F(d) - F(a) for the interval containing d and F(b) - F(a) for those
+    wholly below it.
     """
     _check(profile, cfg)
     profile.check_index(i)
-    opponents = [s.intervals for s in profile.opponents(i)]
+    rows = _cdf_rows(profile, cfg.distribution)
+    opponents = rows[:i] + rows[i + 1 :]
     cdf = cfg.distribution.cdf_scalar
 
     def evaluate(d: float) -> float:
+        fd = cdf(d)
         out = 1.0
         for intervals in opponents:
             mass = 0.0
-            for a, b in intervals:
-                x = d if d < b else b
-                if x > a:
-                    mass += cdf(x) - cdf(a)
+            for a, b, fa, width in intervals:
+                if d < b:
+                    if d > a:
+                        mass += fd - fa
+                    break  # later intervals lie beyond d
+                mass += width
             out *= 1.0 - mass
         return out
 
     return evaluate
+
+
+def _cdf_rows(profile: StrategyProfile, dist: RadialDistribution) -> tuple:
+    """Per strategy, one (a, b, F(a), F(b) - F(a)) row per transmit interval.
+
+    Every evaluator built on the same profile and law shares these rows:
+    they are computed once, on the first build, and cached on the profile
+    together with the law object they were computed under.
+    """
+    cached = profile._cdf_rows
+    if cached is None or cached[0] is not dist:
+        cdf = dist.cdf_scalar
+        table = []
+        for s in profile.strategies:
+            rows = []
+            for a, b in s.intervals:
+                fa = cdf(a)
+                rows.append((a, b, fa, cdf(b) - fa))
+            table.append(tuple(rows))
+        cached = (dist, tuple(table))
+        object.__setattr__(profile, "_cdf_rows", cached)
+    return cached[1]
 
 
 def success_probability(profile: StrategyProfile, cfg: GameConfig, i: int, d):
@@ -115,9 +150,16 @@ class SuccessCurve:
             raise DomainError("success curve must be non-increasing")
 
     def write_csv(self, fileobj):
+        """Rows ``d,g`` with both values in ``repr`` form, header first.
+
+        Rows are formatted and written a block at a time, so the text of a
+        large curve is never held in memory whole.
+        """
         fileobj.write("d,g\n")
-        for d, g in zip(self.grid, self.values):
-            fileobj.write(f"{float(d)!r},{float(g)!r}\n")
+        for k in range(0, self.grid.size, _CSV_BLOCK):
+            block = slice(k, k + _CSV_BLOCK)
+            rows = map("{!r},{!r}\n".format, self.grid[block].tolist(), self.values[block].tolist())
+            fileobj.write("".join(rows))
 
 
 def success_curve(

@@ -68,3 +68,21 @@ def random_config(rng, n, radius) -> GameConfig:
         n=n,
         costs=random_costs(rng, n),
     )
+
+
+
+def nudged_threshold_profile(rng, cutoffs, radius, max_ulps=3) -> StrategyProfile:
+    """Cut-off profile with each given cut-off moved by up to max_ulps ulps."""
+    moved = []
+    for t, steps in zip(cutoffs, rng.integers(-max_ulps, max_ulps + 1, len(cutoffs))):
+        toward = radius if steps > 0 else 0.0
+        for _ in range(abs(int(steps))):
+            t = float(np.nextafter(t, toward))
+        moved.append(t)
+    return StrategyProfile(tuple(Strategy.threshold(t, radius) for t in moved))
+
+
+def random_near_tie_profile(rng, n, radius) -> StrategyProfile:
+    """Cut-off profile whose cut-offs sit within a few ulps of one another."""
+    base = float(rng.uniform(0.2 * radius, 0.9 * radius))
+    return nudged_threshold_profile(rng, [base] * n, radius)

@@ -9,6 +9,12 @@ under test.  The success-probability oracle evaluates
 by literally building each union and measuring it, which is the defining
 expression; the library computes the same quantity through the complement
 identity, and the tests compare the two.
+
+Two reference kernels, :func:`success_per_call` and
+:func:`best_response_linear_scan`, instead repeat the library's own
+arithmetic in its plainest form (two CDF calls per interval per
+evaluation, a left-to-right breakpoint scan), so that the library's faster
+paths can be held to bit-for-bit equality with them.
 """
 
 from __future__ import annotations
@@ -100,3 +106,70 @@ def first_zero_scan(fn, radius, n_points=400_001):
 def symmetric_cutoff_direct(n, c, radius):
     """Symmetric uniform-disk cut-off from the closed form."""
     return radius * math.sqrt(1.0 - (c / (1.0 + c)) ** (1.0 / (n - 1)))
+
+
+def success_per_call(transmit_sets, cdf, i):
+    """Scalar success of node i with two CDF calls per interval per evaluation.
+
+    The clamped-CDF-sum kernel in its plain form: nothing is precomputed,
+    every interval calls ``cdf`` at its clamped right end and at its left
+    end.  The sums and products run in the same order as the library's
+    kernel (intervals in order within an opponent, opponents in index
+    order), so the two must agree bit for bit.
+    """
+    opponents = [list(t) for j, t in enumerate(transmit_sets) if j != i]
+
+    def evaluate(d):
+        out = 1.0
+        for intervals in opponents:
+            mass = 0.0
+            for a, b in intervals:
+                x = d if d < b else b
+                if x > a:
+                    mass += cdf(x) - cdf(a)
+            out *= 1.0 - mass
+        return out
+
+    return evaluate
+
+
+def best_response_linear_scan(transmit_sets, cdf, radius, i, cost, value_tol=1e-12, max_iter=200):
+    """First zero of node i's transmit utility, by a left-to-right scan.
+
+    Scans every opponent endpoint in order for the first one with util <= 0,
+    then bisects keeping util(lo) > 0 >= util(hi), with the library's
+    full-transmit and terminal-plateau rules.  Returns (threshold,
+    boundary case, utility at the threshold).
+    """
+    success = success_per_call(transmit_sets, cdf, i)
+
+    def util(d):
+        return (1.0 + cost) * success(d) - cost
+
+    util_end = util(radius)
+    if util_end > value_tol:
+        return radius, "full-transmit", util_end
+    opponents = [t for j, t in enumerate(transmit_sets) if j != i]
+    tail = max((t[-1][1] for t in opponents if t), default=0.0)
+    edges = sorted({x for t in opponents for pair in t for x in pair})
+    lo, hi = 0.0, None
+    for edge in edges:
+        if not 0.0 < edge <= tail:
+            continue
+        if util(edge) <= 0.0:
+            hi = edge
+            break
+        lo = edge
+    if hi is None:
+        if tail == radius:
+            return radius, "boundary-zero", util_end
+        return tail, "interior", util_end
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if util(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi, "boundary-zero" if hi == radius else "interior", util(hi)

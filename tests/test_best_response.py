@@ -14,10 +14,19 @@ from ragame import (
     StrategyProfile,
     best_response_threshold,
     expected_utility_transmit,
+    solve_sequential,
 )
 
-from tests.generators import random_distribution, random_profile
-from tests.oracles import expected_utility_direct, first_zero_scan
+from tests.generators import (
+    nudged_threshold_profile,
+    random_config,
+    random_costs,
+    random_distribution,
+    random_near_tie_profile,
+    random_profile,
+    random_threshold_profile,
+)
+from tests.oracles import best_response_linear_scan, expected_utility_direct, first_zero_scan
 
 R = 12.0
 DISK = RadialDistribution.uniform_disk(R)
@@ -171,3 +180,45 @@ def test_explicit_tol_and_nonconvergence():
     assert abs(coarse.threshold - exact) <= 1e-3
     with pytest.raises(NumericError):
         best_response_threshold(profile, cfg, 0, max_iter=3)
+
+
+def _reference_games(seed, count):
+    """Seeded (cfg, profile) pairs: cut-off, band and near-tie profiles, and
+    solved equilibria moved by a few ulps, on disk and piecewise laws."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(2, 9))
+        kind = trial % 4
+        if kind == 3:
+            cfg = random_config(rng, n, R)
+            yield cfg, nudged_threshold_profile(rng, solve_sequential(cfg).profile.thresholds, R)
+            continue
+        dist = random_distribution(rng, R)
+        if kind == 0:
+            profile = random_threshold_profile(rng, n, R)
+        elif kind == 1:
+            profile = random_profile(rng, n, R)
+        else:
+            # costs that put each node's first zero of util among the cut-offs
+            profile = random_near_tie_profile(rng, n, R)
+            g = (1.0 - dist.cdf(profile.strategies[0].cutoff)) ** (n - 1)
+            cfg = GameConfig(distribution=dist, n=n, costs=(g / (1.0 - g),) * n)
+            yield cfg, profile
+            continue
+        yield GameConfig(distribution=dist, n=n, costs=random_costs(rng, n)), profile
+
+
+def test_matches_linear_scan_reference_bit_for_bit():
+    boundary_zero = (
+        cfg_with_cost(0.25 / 0.75),
+        vs_opponent(Strategy(radius=R, intervals=((6.0, 12.0),))),
+    )
+    for cfg, profile in [boundary_zero, *_reference_games(seed=41, count=120)]:
+        transmit_sets = [s.intervals for s in profile.strategies]
+        for i in range(cfg.n):
+            result = best_response_threshold(profile, cfg, i)
+            expected = best_response_linear_scan(
+                transmit_sets, cfg.distribution.cdf_scalar, R, i, cfg.costs[i]
+            )
+            assert (result.threshold, result.boundary_case, result.utility_at_threshold) == expected
+            assert type(result.threshold) is float

@@ -1,10 +1,13 @@
+import gc
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ragame import (
+    FULL_TRANSMIT,
     DomainError,
     GameConfig,
     RadialDistribution,
@@ -12,6 +15,7 @@ from ragame import (
     StrategyProfile,
     ThresholdProfile,
     best_response_iteration,
+    best_response_threshold,
     cost_classes,
     cost_target,
     solve_sequential,
@@ -20,7 +24,7 @@ from ragame import (
     verify_nash,
 )
 
-from tests.generators import random_config
+from tests.generators import random_config, random_profile
 from tests.oracles import symmetric_cutoff_direct
 
 R = 12.0
@@ -242,3 +246,111 @@ def test_cost_target():
     assert cost_target(1.0) == 0.5
     assert cost_target(3.0) == 0.75
     assert math.isclose(cost_target(0.25), 0.2)
+
+
+def _unpacked_as_dict(profile, cfg, tol=None, residual_tol=1e-8):
+    """``verify_nash(profile, cfg).as_dict()`` computed node by node, with no
+    shared checks and no packed storage."""
+    dist, radius = cfg.distribution, cfg.radius
+    tol = 1e-10 * radius if tol is None else tol
+    given_full = profile.last_class_full if isinstance(profile, ThresholdProfile) else None
+    if isinstance(profile, ThresholdProfile):
+        profile = profile.to_strategy_profile(radius)
+    strategies = profile.strategies
+    nodes, residuals = [], []
+    for i, s in enumerate(strategies):
+        br = best_response_threshold(profile, cfg, i)
+        sym = s.symmetric_difference_measure(br.strategy, dist)
+        bar = dist.interval_measure(max(0.0, br.threshold - tol), min(radius, br.threshold + tol))
+        nodes.append({
+            "index": i,
+            "cutoff": s.cutoff,
+            "best_response": br.threshold,
+            "boundary_case": br.boundary_case,
+            "threshold_residual": abs(s.cutoff - br.threshold),
+            "symmetric_difference": sym,
+            "matched": sym <= bar + 1e-15,
+        })
+        target = cost_target(cfg.costs[i])
+        if s.cutoff >= radius - tol:
+            residuals.append(max(0.0, target - success_probability(profile, cfg, i, radius)))
+        else:
+            residuals.append(abs(success_probability(profile, cfg, i, s.cutoff) - target))
+    at_r = [node["index"] for node in nodes if node["cutoff"] >= radius - tol]
+    classes, equal = [], 0.0
+    for cls in cost_classes(cfg.costs):
+        head = cls.members[0]
+        for m in cls.members[1:]:
+            equal = max(equal, abs(strategies[m].cutoff - strategies[head].cutoff))
+            equal = max(equal, strategies[m].symmetric_difference_measure(strategies[head], dist))
+        t = strategies[head].cutoff
+        g = success_probability(profile, cfg, head, min(t, radius))
+        classes.append({
+            "cost": cls.cost,
+            "members": list(cls.members),
+            "threshold": t,
+            "success_value": g,
+            "target": cost_target(cls.cost),
+            "residual": abs(g - cost_target(cls.cost)),
+        })
+    threshold_profile = all(s.is_threshold for s in strategies)
+    full = [node for node in nodes if node["index"] in at_r]
+    if given_full is None and threshold_profile:
+        given_full = bool(full) and all(node["boundary_case"] == FULL_TRANSMIT for node in full)
+    worst = max(residuals)
+    return {
+        "thresholds": [s.cutoff for s in strategies] if threshold_profile else None,
+        "last_class_full": given_full if threshold_profile else None,
+        "classes": classes,
+        "nodes": nodes,
+        "verdicts": {
+            "single_full_transmitter": {
+                "passed": len(at_r) <= 1,
+                "residual": float(max(0, len(at_r) - 1)),
+                "detail": f"nodes with cut-off at R: {at_r}",
+            },
+            "interior_success_targets": {
+                "passed": worst <= residual_tol,
+                "residual": worst,
+                "detail": "max |success(cutoff) - cost/(1+cost)| over nodes "
+                "(shortfall only for a node at R)",
+            },
+            "equal_costs_equal_cutoffs": {
+                "passed": equal <= tol,
+                "residual": equal,
+                "detail": "max cut-off / transmit-set discrepancy within a cost class",
+            },
+        },
+        "is_nash": all(node["matched"] for node in nodes),
+    }
+
+
+def test_distinct_cost_report_is_small_and_unpacks_exactly():
+    rng = np.random.default_rng(19)
+    cfg = uniform_cfg(np.exp(rng.uniform(np.log(0.1), np.log(10.0), 100)))
+    assert len(cost_classes(cfg.costs)) == 100
+    solve_sequential(cfg)  # warm every lazily built cache first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        report = solve_sequential(cfg)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained <= 8 * 1024
+    assert report.is_nash
+    assert report.as_dict() == _unpacked_as_dict(report.profile, cfg)
+
+
+def test_report_unpacks_exactly_on_random_games():
+    rng = np.random.default_rng(29)
+    for _ in range(12):
+        cfg = random_config(rng, int(rng.integers(2, 12)), R)
+        solved = solve_sequential(cfg)
+        assert solved.as_dict() == _unpacked_as_dict(solved.profile, cfg)
+        # the same cut-offs as strategies, with one node moved off them
+        moved = solved.profile.to_strategy_profile(R).replace(0, Strategy.threshold(0.5 * R, R))
+        assert verify_nash(moved, cfg).as_dict() == _unpacked_as_dict(moved, cfg)
+        bands = random_profile(rng, cfg.n, R)
+        assert verify_nash(bands, cfg).as_dict() == _unpacked_as_dict(bands, cfg)

@@ -157,3 +157,6 @@ def test_estimates_csv():
     assert len(lines) == 4
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 1.0
+    assert buf.getvalue() == "d,estimate,std_error\n" + "".join(
+        f"{float(d)!r},{e.mean!r},{e.std_error!r}\n" for d, e in zip(grid, ests)
+    )

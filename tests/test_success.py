@@ -13,9 +13,22 @@ from ragame import (
     success_curve,
     success_probability,
 )
+from ragame.success import success_evaluator
 
-from tests.generators import random_distribution, random_profile
-from tests.oracles import linear_cdf, success_direct, uniform_disk_cdf, union_measure
+from tests.generators import (
+    random_distribution,
+    random_increasing_cdf,
+    random_near_tie_profile,
+    random_profile,
+    random_threshold_profile,
+)
+from tests.oracles import (
+    linear_cdf,
+    success_direct,
+    success_per_call,
+    uniform_disk_cdf,
+    union_measure,
+)
 
 R = 12.0
 DISK = RadialDistribution.uniform_disk(R)
@@ -204,6 +217,21 @@ def test_breakpoints_collects_opponent_endpoints():
     assert list(breakpoints(profile, 0)) == [0.0, 1.0, 2.0, 3.0, 4.0, 7.0]
 
 
+def test_curve_csv_matches_per_row_formatting():
+    # more rows than one write block, on a piecewise law
+    rng = np.random.default_rng(12)
+    dist = random_increasing_cdf(rng, R)
+    profile = random_profile(rng, 3, R)
+    cfg = GameConfig(distribution=dist, n=3, costs=(1.0,) * 3)
+    curve = success_curve(profile, cfg, 0, grid_size=10_001)
+    buf = io.StringIO()
+    curve.write_csv(buf)
+    expected = "d,g\n" + "".join(
+        f"{float(d)!r},{float(g)!r}\n" for d, g in zip(curve.grid, curve.values)
+    )
+    assert buf.getvalue() == expected
+
+
 def test_curve_csv_round_trip():
     cfg = two_node_cfg()
     profile = profile_with_opponent(Strategy.threshold(6.0, R))
@@ -215,3 +243,47 @@ def test_curve_csv_round_trip():
     rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
     assert [r[0] for r in rows] == list(curve.grid)
     assert [r[1] for r in rows] == list(curve.values)
+
+
+def _probe_points(profile, rng):
+    """0, R, every interval endpoint and its neighbouring floats, random points."""
+    points = {0.0, R, *rng.uniform(0.0, R, 50).tolist()}
+    for s in profile.strategies:
+        for a, b in s.intervals:
+            for x in (a, b):
+                points.update((x, float(np.nextafter(x, 0.0)), float(np.nextafter(x, R))))
+    return sorted(p for p in points if 0.0 <= p <= R)
+
+
+def test_evaluator_matches_per_call_cdf_kernel_bit_for_bit():
+    rng = np.random.default_rng(77)
+    for trial in range(60):
+        n = int(rng.integers(2, 9))
+        dist = random_distribution(rng, R)
+        make = (random_threshold_profile, random_profile, random_near_tie_profile)[trial % 3]
+        profile = make(rng, n, R)
+        cfg = GameConfig(distribution=dist, n=n, costs=(1.0,) * n)
+        transmit_sets = [s.intervals for s in profile.strategies]
+        points = _probe_points(profile, rng)
+        for i in range(n):
+            fast = success_evaluator(profile, cfg, i)
+            reference = success_per_call(transmit_sets, dist.cdf_scalar, i)
+            assert [fast(d) for d in points] == [reference(d) for d in points]
+            assert [success_probability(profile, cfg, i, d) for d in points[:5]] == [
+                reference(d) for d in points[:5]
+            ]
+
+
+def test_evaluators_on_one_profile_follow_the_law_they_are_built_with():
+    # the endpoint CDF values are cached on the profile; a second law must
+    # not reuse the first one's
+    rng = np.random.default_rng(5)
+    profile = random_profile(rng, 4, R)
+    laws = [DISK, random_increasing_cdf(rng, R), DISK]
+    points = _probe_points(profile, rng)
+    transmit_sets = [s.intervals for s in profile.strategies]
+    for dist in laws:
+        cfg = GameConfig(distribution=dist, n=4, costs=(1.0,) * 4)
+        reference = success_per_call(transmit_sets, dist.cdf_scalar, 1)
+        fast = success_evaluator(profile, cfg, 1)
+        assert [fast(d) for d in points] == [reference(d) for d in points]
