@@ -15,7 +15,7 @@ from ragame import (
     Strategy,
     StrategyProfile,
     best_response_threshold,
-    expected_utility_transmit,
+    success_probability,
 )
 
 R = 12.0
@@ -53,8 +53,9 @@ def main():
     print("\nsign structure around one interior cut-off (c = 1):")
     cfg = GameConfig(distribution=DISK, n=2, costs=(1.0, 1.0))
     t = best_response_threshold(profile, cfg, 0).threshold
+    c = cfg.costs[0]
     for d in np.concatenate([np.linspace(0, t, 4, endpoint=False), [t, (t + R) / 2, R]]):
-        u = expected_utility_transmit(profile, cfg, 0, float(d))
+        u = (1.0 + c) * success_probability(profile, cfg, 0, float(d)) - c
         print(f"  d = {d:7.4f}  utility = {u:+.6f}  -> {'transmit' if u > 0 else 'back off'}")
 
 

@@ -15,7 +15,6 @@ from .best_response import (
     INTERIOR,
     BestResponseResult,
     best_response_threshold,
-    expected_utility_transmit,
 )
 from .equilibrium import (
     ClassSolution,
@@ -43,8 +42,6 @@ from .radial import RadialDistribution
 from .strategy import GameConfig, Strategy, StrategyProfile
 from .success import (
     SuccessCurve,
-    breakpoints,
-    lipschitz_constant,
     success_curve,
     success_probability,
 )
@@ -73,14 +70,11 @@ __all__ = [
     "Verdict",
     "best_response_iteration",
     "best_response_threshold",
-    "breakpoints",
     "cost_classes",
     "cost_target",
     "estimate_expected_utility",
     "estimate_success_curve",
     "estimate_success_probability",
-    "expected_utility_transmit",
-    "lipschitz_constant",
     "solve_sequential",
     "solve_symmetric_uniform",
     "success_curve",

@@ -45,9 +45,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import DomainError, NumericError
+from .errors import NumericError
 from .strategy import GameConfig, Strategy, StrategyProfile
-from .success import breakpoints, success_evaluator, success_probability
+from .success import breakpoints, success_evaluator
 
 INTERIOR = "interior"
 FULL_TRANSMIT = "full-transmit"
@@ -57,18 +57,10 @@ BOUNDARY_ZERO = "boundary-zero"
 VALUE_TOL = 1e-12
 
 
-def expected_utility_transmit(profile: StrategyProfile, cfg: GameConfig, i: int, d):
-    """Expected utility of node i given that it transmits from distance d."""
-    c = cfg.costs[i]
-    g = success_probability(profile, cfg, i, d)
-    return (1.0 + c) * g - c
-
-
 @dataclass(frozen=True)
 class BestResponseResult:
     """Cut-off best response of one node against a fixed opponent profile."""
 
-    node_index: int
     threshold: float
     boundary_case: str  # one of INTERIOR, FULL_TRANSMIT, BOUNDARY_ZERO
     utility_at_threshold: float
@@ -79,20 +71,16 @@ def best_response_threshold(
     profile: StrategyProfile,
     cfg: GameConfig,
     i: int,
-    tol: float | None = None,
     max_iter: int = 200,
 ) -> BestResponseResult:
     """Critical distance below which node i should transmit.
 
-    ``tol`` is the bisection width at which to stop; ``None`` (default)
-    bisects until the bracket endpoints are adjacent floats, which always
+    Bisects until the bracket endpoints are adjacent floats, which always
     lands well inside the documented 1e-10 * radius guarantee.  The returned
     threshold t carries util(t) <= 0 (the node backs off at its own
     threshold), except in the full-transmit case where util stays positive
     everywhere including at R.
     """
-    if tol is not None and tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
     radius = cfg.radius
     success = success_evaluator(profile, cfg, i)
     c = cfg.costs[i]
@@ -103,7 +91,6 @@ def best_response_threshold(
     util_end = util(radius)
     if util_end > VALUE_TOL:
         return BestResponseResult(
-            node_index=i,
             threshold=radius,
             boundary_case=FULL_TRANSMIT,
             utility_at_threshold=util_end,
@@ -129,7 +116,6 @@ def best_response_threshold(
         else:
             case, threshold = INTERIOR, silent_tail_start
         return BestResponseResult(
-            node_index=i,
             threshold=threshold,
             boundary_case=case,
             utility_at_threshold=util_end,
@@ -141,8 +127,6 @@ def best_response_threshold(
     # First-hit bisection: keep util(lo) > 0 >= util(hi).
     lo, hi = edges[k - 1] if k else 0.0, edges[k]
     for _ in range(max_iter):
-        if tol is not None and hi - lo <= tol:
-            break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -162,7 +146,6 @@ def best_response_threshold(
     else:
         case = INTERIOR
     return BestResponseResult(
-        node_index=i,
         threshold=hi,
         boundary_case=case,
         utility_at_threshold=util(hi),

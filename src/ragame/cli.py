@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -82,8 +83,8 @@ def cmd_cutoff_sweep(args) -> int:
         c_grid = [float(x) for x in args.c_list.split(",") if x]
     else:
         c_grid = [float(c) for c in np.linspace(args.c_min, args.c_max, args.c_count)]
-    if any(c <= 0 for c in c_grid):
-        raise DomainError("costs in the sweep must be positive")
+    if not all(0 < c < math.inf for c in c_grid):
+        raise DomainError("costs in the sweep must be positive and finite")
     lines = ["n,c,d_star\n"]
     for n in n_list:
         for c in c_grid:

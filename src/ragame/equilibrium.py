@@ -44,6 +44,11 @@ from .strategy import GameConfig, Strategy, StrategyProfile
 from .success import success_probability
 
 
+#: Largest |success(cut-off) - cost/(1+cost)| at an interior cut-off that the
+#: ``interior_success_targets`` verdict of :func:`verify_nash` accepts.
+RESIDUAL_TOL = 1e-8
+
+
 def cost_target(cost: float) -> float:
     """Success level at which transmitting breaks even: cost / (1 + cost)."""
     return cost / (1.0 + cost)
@@ -287,14 +292,12 @@ def solve_symmetric_uniform(n: int, c: float, radius: float) -> float:
         raise DomainError(f"need at least 2 nodes, got {n}")
     if not (c > 0 and math.isfinite(c)):
         raise DomainError(f"cost must be in (0, inf), got {c!r}")
-    if radius <= 0:
-        raise DomainError(f"radius must be positive, got {radius!r}")
+    if not 0 < radius < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {radius!r}")
     return radius * math.sqrt(1.0 - cost_target(c) ** (1.0 / (n - 1)))
 
 
-def solve_sequential(
-    cfg: GameConfig, tol: float | None = None, residual_tol: float = 1e-8
-) -> EquilibriumReport:
+def solve_sequential(cfg: GameConfig, tol: float | None = None) -> EquilibriumReport:
     """Solve the per-class cut-off equations in decreasing cost order.
 
     Requires a strictly increasing CDF so each class equation is strictly
@@ -337,7 +340,7 @@ def solve_sequential(
         prev_t = t
 
     profile = ThresholdProfile(tuple(thresholds), last_class_full=last_class_full)
-    return verify_nash(profile, cfg, tol=tol, residual_tol=residual_tol)
+    return verify_nash(profile, cfg, tol=tol)
 
 
 def _bisect_class_equation(dist, prefix, exponent, target, lo, hi, max_iter=200):
@@ -384,6 +387,8 @@ def best_response_iteration(
     radius = cfg.radius
     if tol is None:
         tol = 1e-9 * radius
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     thresholds = list(initial.thresholds) if initial else [radius] * cfg.n
     for _ in range(max_rounds):
         profile = ThresholdProfile(tuple(thresholds)).to_strategy_profile(radius)
@@ -408,7 +413,6 @@ def verify_nash(
     profile: StrategyProfile | ThresholdProfile,
     cfg: GameConfig,
     tol: float | None = None,
-    residual_tol: float = 1e-8,
 ) -> EquilibriumReport:
     """Re-check a candidate profile node by node and emit a full report.
 
@@ -423,7 +427,7 @@ def verify_nash(
 
     * ``single_full_transmitter`` -- at most one cut-off reaches R;
     * ``interior_success_targets`` -- success at each interior cut-off is
-      within ``residual_tol`` of cost/(1+cost); a node at R instead needs
+      within ``RESIDUAL_TOL`` of cost/(1+cost); a node at R instead needs
       success(R) >= its target;
     * ``equal_costs_equal_cutoffs`` -- equal-cost nodes share one cut-off.
     """
@@ -431,8 +435,8 @@ def verify_nash(
     radius = cfg.radius
     if tol is None:
         tol = 1e-10 * radius
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
     last_class_full = None
     if isinstance(profile, ThresholdProfile):
@@ -452,6 +456,7 @@ def verify_nash(
     keys = list(zip(strategy_profile.strategies, cfg.costs))
     check_of: dict[tuple[Strategy, float], int] = {}
     check_values, codes, residuals = [], [], []
+    success_at = []  # per check, (distance, success there) for its first node
     for i, key in enumerate(keys):
         if key in check_of:
             continue
@@ -476,12 +481,10 @@ def verify_nash(
         # Success at an interior cut-off must sit at the break-even target;
         # a node stopping only at R needs success(R) >= target.
         target = cost_target(cost)
-        if at_r:
-            shortfall = target - success_probability(strategy_profile, cfg, i, radius)
-            residuals.append(max(0.0, shortfall))
-        else:
-            g = success_probability(strategy_profile, cfg, i, cutoff)
-            residuals.append(abs(g - target))
+        x = radius if at_r else cutoff
+        g = success_probability(strategy_profile, cfg, i, x)
+        residuals.append(max(0.0, target - g) if at_r else abs(g - target))
+        success_at.append((x, g))
     check_index = _packed(check_of[key] for key in keys)
     is_nash = all(code & _MATCHED for code in codes)
     cutoffs = [check_values[3 * k] for k in check_index]
@@ -507,14 +510,19 @@ def verify_nash(
                 ),
             )
 
-    # Class table, evaluated at the profile's own cut-offs.
+    # Class table, evaluated at the profile's own cut-offs.  A class head is
+    # the first node of its check, which has evaluated success at its cut-off
+    # already unless it was checked at R instead.
     class_values = []
     for cls in classes:
-        t = cutoffs[cls.members[0]]
-        g = success_probability(strategy_profile, cfg, cls.members[0], min(t, radius))
+        head = cls.members[0]
+        t = cutoffs[head]
+        x, g = success_at[check_index[head]]
+        if x != t:
+            g = success_probability(strategy_profile, cfg, head, t)
         class_values += (cls.cost, t, g)
 
-    flags = (_TARGETS_PASSED if worst <= residual_tol else 0) | (
+    flags = (_TARGETS_PASSED if worst <= RESIDUAL_TOL else 0) | (
         _EQUAL_PASSED if eq_residual <= tol else 0
     )
     if all(s.is_threshold for s in strategy_profile.strategies):

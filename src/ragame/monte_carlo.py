@@ -74,6 +74,43 @@ def _closest_transmitter_distances(profile, cfg, i, rng, size) -> np.ndarray:
     return closest
 
 
+def _estimates(profile, cfg, i, grid: np.ndarray, sim: SimConfig) -> list[SimEstimate]:
+    """Per grid distance d, node i's estimated success probability from d.
+
+    A trial succeeds when no transmitting opponent is strictly closer than d,
+    so a distance tie counts as a success (and is logged).  Each chunk's
+    closest-transmitter distances are sorted once and every grid point is
+    counted by binary search.
+    """
+    profile.check_index(i)
+    outside = ~((grid >= 0) & (grid <= cfg.radius))
+    if outside.any():
+        raise DomainError(f"distance {float(grid[outside][0])!r} outside [0, {cfg.radius}]")
+    counts = np.zeros(grid.size, dtype=np.int64)
+    ties = 0
+    done = 0
+    for child in _chunk_seeds(sim.seed, sim.samples):
+        size = min(CHUNK_SIZE, sim.samples - done)
+        closest = _closest_transmitter_distances(
+            profile, cfg, i, np.random.default_rng(child), size
+        )
+        closest.sort()
+        first = np.searchsorted(closest, grid, side="left")
+        counts += size - first
+        ties += int((np.searchsorted(closest, grid, side="right") - first).sum())
+        done += size
+    if ties:
+        logger.warning(
+            "broke %d floating-point distance tie(s) in favour of node %d", ties, i
+        )
+    estimates = []
+    for successes in counts.tolist():
+        mean = successes / sim.samples
+        std_error = math.sqrt(mean * (1.0 - mean) / sim.samples)
+        estimates.append(SimEstimate(mean=mean, std_error=std_error, samples=sim.samples))
+    return estimates
+
+
 def estimate_success_probability(
     profile: StrategyProfile, cfg: GameConfig, i: int, d: float, sim: SimConfig
 ) -> SimEstimate:
@@ -82,27 +119,8 @@ def estimate_success_probability(
     Node i is forced to transmit; success means no transmitting opponent is
     strictly closer than d.
     """
-    profile.check_index(i)
-    if d < 0 or d > cfg.radius:
-        raise DomainError(f"distance {d!r} outside [0, {cfg.radius}]")
-    successes = 0
-    ties = 0
-    done = 0
-    for child in _chunk_seeds(sim.seed, sim.samples):
-        size = min(CHUNK_SIZE, sim.samples - done)
-        closest = _closest_transmitter_distances(
-            profile, cfg, i, np.random.default_rng(child), size
-        )
-        successes += int(np.count_nonzero(closest >= d))
-        ties += int(np.count_nonzero(np.isfinite(closest) & (closest == d)))
-        done += size
-    if ties:
-        logger.warning(
-            "broke %d floating-point distance tie(s) in favour of node %d", ties, i
-        )
-    mean = successes / sim.samples
-    std_error = math.sqrt(mean * (1.0 - mean) / sim.samples)
-    return SimEstimate(mean=mean, std_error=std_error, samples=sim.samples)
+    (estimate,) = _estimates(profile, cfg, i, np.array([d], dtype=float), sim)
+    return estimate
 
 
 def estimate_success_curve(
@@ -113,27 +131,7 @@ def estimate_success_curve(
     Every grid point sees the same opponent draws per trial, so the
     estimated curve is non-increasing in d exactly, not just statistically.
     """
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid < 0) or np.any(grid > cfg.radius):
-        raise DomainError(f"grid escapes [0, {cfg.radius}]")
-    profile.check_index(i)
-    counts = np.zeros(grid.size, dtype=np.int64)
-    done = 0
-    for child in _chunk_seeds(sim.seed, sim.samples):
-        size = min(CHUNK_SIZE, sim.samples - done)
-        closest = _closest_transmitter_distances(
-            profile, cfg, i, np.random.default_rng(child), size
-        )
-        closest.sort()
-        # Trials with closest >= d succeed; ties count as success.
-        counts += size - np.searchsorted(closest, grid, side="left")
-        done += size
-    out = []
-    for c in counts:
-        mean = int(c) / sim.samples
-        std_error = math.sqrt(mean * (1.0 - mean) / sim.samples)
-        out.append(SimEstimate(mean=mean, std_error=std_error, samples=sim.samples))
-    return out
+    return _estimates(profile, cfg, i, np.asarray(grid, dtype=float), sim)
 
 
 def estimate_expected_utility(
@@ -146,6 +144,7 @@ def estimate_expected_utility(
     which is the affine map (1 + cost) * success - cost of the success
     indicator, applied to the same trials as the success estimate.
     """
+    profile.check_index(i)
     if profile.strategies[i].evaluate(d) == 0:
         return SimEstimate(mean=0.0, std_error=0.0, samples=sim.samples)
     c = cfg.costs[i]

@@ -14,7 +14,7 @@ Two representations are supported:
   CDF knots; interval measures are exact sums of knot differences.
 
 A bounded-density law additionally exposes ``density_sup``, the supremum of
-its density, used downstream for Lipschitz bounds on success probabilities.
+its density, which bounds how fast success probabilities can change.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ class RadialDistribution:
                 raise DomainError("knot distances must start at 0 and end at radius")
             if cdf[0] != 0.0 or cdf[-1] != 1.0:
                 raise DomainError("knot CDF values must start at 0 and end at 1")
-            if np.any(np.diff(d) <= 0):
+            if not np.all(np.diff(d) > 0):
                 raise DomainError("knot distances must be strictly increasing")
-            if np.any(np.diff(cdf) < 0):
+            if not np.all(np.diff(cdf) >= 0):
                 raise DomainError("CDF knots must be non-decreasing")
             object.__setattr__(self, "knots_d", d)
             object.__setattr__(self, "knots_cdf", cdf)
@@ -87,29 +87,6 @@ class RadialDistribution:
             knots_cdf=knots[:, 1].copy(),
         )
 
-    @classmethod
-    def from_density(cls, radius: float, density, n_knots: int = 10001) -> "RadialDistribution":
-        """Adapter for a density callback: resample to a piecewise-linear CDF.
-
-        The density is evaluated on a uniform grid of ``n_knots`` points and
-        integrated by the trapezoid rule, then normalized so the CDF reaches
-        exactly 1 at the radius.  Laws with a piecewise-linear density are
-        represented exactly; anything else carries the usual O(h^2) error.
-        """
-        if n_knots < 2:
-            raise DomainError("need at least 2 knots")
-        d = np.linspace(0.0, radius, n_knots)
-        f = np.asarray(density(d), dtype=float)
-        if f.shape != d.shape or np.any(f < 0) or not np.all(np.isfinite(f)):
-            raise DomainError("density must be finite and non-negative on [0, radius]")
-        increments = 0.5 * (f[1:] + f[:-1]) * np.diff(d)
-        cdf = np.concatenate([[0.0], np.cumsum(increments)])
-        if cdf[-1] <= 0:
-            raise DomainError("density integrates to zero")
-        cdf /= cdf[-1]
-        cdf[-1] = 1.0
-        return cls(radius=float(radius), kind=PIECEWISE_LINEAR_CDF, knots_d=d, knots_cdf=cdf)
-
     # -- JSON spec -----------------------------------------------------------
 
     @classmethod
@@ -126,12 +103,6 @@ class RadialDistribution:
                 raise DomainError("piecewise-linear-cdf spec needs 'knots'")
             return cls.piecewise_linear_cdf(radius, spec["knots"])
         raise DomainError(f"unknown distribution kind {kind!r}")
-
-    def to_spec(self) -> dict:
-        if self.kind == UNIFORM_DISK:
-            return {"kind": self.kind, "radius": self.radius}
-        knots = [[float(d), float(c)] for d, c in zip(self.knots_d, self.knots_cdf)]
-        return {"kind": self.kind, "radius": self.radius, "knots": knots}
 
     # -- properties ----------------------------------------------------------
 
@@ -182,11 +153,11 @@ class RadialDistribution:
         Accepts a scalar or an array; raises DomainError outside [0, radius].
         """
         if isinstance(d, (float, int)):
-            if d < 0 or d > self.radius:
+            if not 0 <= d <= self.radius:
                 raise DomainError(f"distance {d!r} outside [0, {self.radius}]")
             return self.cdf_scalar(float(d))
         arr = np.asarray(d, dtype=float)
-        if np.any(arr < 0) or np.any(arr > self.radius):
+        if not np.all((arr >= 0) & (arr <= self.radius)):
             raise DomainError(f"distance {d!r} outside [0, {self.radius}]")
         if self.kind == UNIFORM_DISK:
             out = (arr / self.radius) ** 2
@@ -196,7 +167,7 @@ class RadialDistribution:
 
     def interval_measure(self, a: float, b: float) -> float:
         """Probability mass of the interval (a, b]."""
-        if a > b:
+        if not a <= b:
             raise DomainError(f"empty-order interval ({a!r}, {b!r}]")
         return float(self.cdf(b)) - float(self.cdf(a))
 
@@ -207,7 +178,7 @@ class RadialDistribution:
         Accepts a scalar or an array of probabilities in [0, 1].
         """
         arr = np.asarray(p, dtype=float)
-        if np.any(arr < 0) or np.any(arr > 1):
+        if not np.all((arr >= 0) & (arr <= 1)):
             raise DomainError(f"probability {p!r} outside [0, 1]")
         if self.kind == UNIFORM_DISK:
             out = self.radius * np.sqrt(arr)

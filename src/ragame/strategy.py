@@ -2,7 +2,7 @@
 
 A strategy maps a node's own distance to transmit (1) or back off (0).  Only
 finite unions of intervals are representable: every object the analysis
-needs (cut-off rules, bands, complements) is of this form, and it keeps all
+needs (cut-off rules and bands) is of this form, and it keeps all
 probability computations exact interval algebra.
 
 Intervals follow one fixed half-open convention (a, b].  The law of the
@@ -51,19 +51,6 @@ def canonical_intervals(intervals, radius: float) -> tuple[Interval, ...]:
     return tuple(merged)
 
 
-def complement_intervals(intervals: tuple[Interval, ...], radius: float) -> tuple[Interval, ...]:
-    """Canonical complement of a canonical interval list within (0, radius]."""
-    out: list[Interval] = []
-    cursor = 0.0
-    for a, b in intervals:
-        if a > cursor:
-            out.append((cursor, a))
-        cursor = b
-    if cursor < radius:
-        out.append((cursor, radius))
-    return tuple(out)
-
-
 def _intersection_measure(one, other, dist: RadialDistribution) -> float:
     total = 0.0
     for a1, b1 in one:
@@ -94,7 +81,7 @@ class Strategy:
     def threshold(cls, cutoff: float, radius: float) -> "Strategy":
         """Cut-off rule: transmit on (0, cutoff], back off beyond."""
         cutoff = float(cutoff)
-        if cutoff < 0 or cutoff > radius:
+        if not 0 <= cutoff <= radius:
             raise DomainError(f"cutoff {cutoff!r} outside [0, {radius}]")
         ivs = [(0.0, cutoff)] if cutoff > 0 else []
         return cls(radius=float(radius), intervals=tuple(ivs))
@@ -118,11 +105,6 @@ class Strategy:
             return cls(radius=float(radius), intervals=tuple(tuple(p) for p in spec["intervals"]))
         raise DomainError("strategy spec needs 'threshold' or 'intervals'")
 
-    def to_spec(self) -> dict:
-        if self.is_threshold:
-            return {"threshold": self.cutoff}
-        return {"intervals": [[a, b] for a, b in self.intervals]}
-
     # -- structure -------------------------------------------------------------
 
     @property
@@ -137,18 +119,11 @@ class Strategy:
         """Sup of the transmit set (0 when the node never transmits)."""
         return self.intervals[-1][1] if self.intervals else 0.0
 
-    def backoff_intervals(self) -> tuple[Interval, ...]:
-        """Canonical complement: the intervals on which the node backs off."""
-        return complement_intervals(self.intervals, self.radius)
-
-    def complement(self) -> "Strategy":
-        return Strategy(radius=self.radius, intervals=self.backoff_intervals())
-
     # -- evaluation --------------------------------------------------------------
 
     def evaluate(self, d: float) -> int:
         """1 iff the node transmits at own distance d (half-open intervals)."""
-        if d < 0 or d > self.radius:
+        if not 0 <= d <= self.radius:
             raise DomainError(f"distance {d!r} outside [0, {self.radius}]")
         for a, b in self.intervals:
             if a < d <= b:
@@ -229,12 +204,6 @@ class StrategyProfile:
         self.check_index(i)
         return self.strategies[:i] + self.strategies[i + 1 :]
 
-    def replace(self, i: int, strategy: Strategy) -> "StrategyProfile":
-        self.check_index(i)
-        strategies = list(self.strategies)
-        strategies[i] = strategy
-        return StrategyProfile(tuple(strategies))
-
     def check_index(self, i: int):
         if not (0 <= i < self.n):
             raise DomainError(f"node index {i} out of range [0, {self.n})")
@@ -244,9 +213,6 @@ class StrategyProfile:
         if not isinstance(specs, (list, tuple)):
             raise DomainError("profile spec must be an array of strategy specs")
         return cls(tuple(Strategy.from_spec(s, radius) for s in specs))
-
-    def to_spec(self) -> list:
-        return [s.to_spec() for s in self.strategies]
 
 
 @dataclass(frozen=True)
@@ -290,11 +256,3 @@ class GameConfig:
             raise DomainError("config radius and distribution radius disagree")
         distribution = RadialDistribution.from_spec(dist_spec)
         return cls(distribution=distribution, n=int(spec["n"]), costs=tuple(spec["costs"]))
-
-    def to_spec(self) -> dict:
-        return {
-            "radius": self.radius,
-            "n": self.n,
-            "costs": list(self.costs),
-            "distribution": self.distribution.to_spec(),
-        }

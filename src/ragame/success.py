@@ -102,11 +102,11 @@ def success_probability(profile: StrategyProfile, cfg: GameConfig, i: int, d):
     _check(profile, cfg)
     profile.check_index(i)
     if isinstance(d, (float, int)):
-        if d < 0 or d > cfg.radius:
+        if not 0 <= d <= cfg.radius:
             raise DomainError(f"distance {d!r} outside [0, {cfg.radius}]")
         return success_evaluator(profile, cfg, i)(float(d))
     arr = np.asarray(d, dtype=float)
-    if np.any(arr < 0) or np.any(arr > cfg.radius):
+    if not np.all((arr >= 0) & (arr <= cfg.radius)):
         raise DomainError(f"distance {d!r} outside [0, {cfg.radius}]")
     out = np.ones(arr.shape)
     for s in profile.opponents(i):
@@ -127,11 +127,6 @@ def breakpoints(profile: StrategyProfile, i: int) -> np.ndarray:
             pts.add(a)
             pts.add(b)
     return np.array(sorted(pts))
-
-
-def lipschitz_constant(dist: RadialDistribution, n: int) -> float:
-    """Provable Lipschitz constant (n - 1) * sup density of the success curve."""
-    return (n - 1) * dist.density_sup
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ragame import lipschitz_constant, success_curve
+from ragame import success_curve
 
 
 def structure_checks(profile, cfg, i, grid_points=1000):
@@ -44,5 +44,5 @@ def structure_checks(profile, cfg, i, grid_points=1000):
     if dist.strictly_increasing:
         assert np.all(np.diff(g)[active] < 0.0)
 
-    lk = lipschitz_constant(dist, cfg.n)
+    lk = (cfg.n - 1) * dist.density_sup
     assert np.all(np.abs(np.diff(g)) <= lk * np.diff(grid) + 1e-12)

@@ -22,7 +22,6 @@ from ragame import (
     cost_target,
     estimate_expected_utility,
     estimate_success_curve,
-    expected_utility_transmit,
     solve_sequential,
     solve_symmetric_uniform,
     success_probability,
@@ -152,13 +151,14 @@ def test_criterion_4_best_response_sign_structure():
         result = best_response_threshold(profile, cfg, 0)
         t = result.threshold
         assert t > 0.0
+        c = cfg.costs[0]
         left = np.linspace(0.0, t * (1.0 - 1e-9), 1000)
-        assert np.all(expected_utility_transmit(profile, cfg, 0, left) > 0.0)
+        assert np.all((1.0 + c) * success_probability(profile, cfg, 0, left) - c > 0.0)
         if result.boundary_case != FULL_TRANSMIT:
             # the node backs off on [t, R]; utility must not be meaningfully
             # positive anywhere there
             right = np.linspace(t, R, 1000)
-            util_right = expected_utility_transmit(profile, cfg, 0, right)
+            util_right = (1.0 + c) * success_probability(profile, cfg, 0, right) - c
             worst_right = max(worst_right, float(util_right.max()))
             assert np.all(util_right <= 1e-10)
         checked += 1

@@ -13,8 +13,8 @@ from ragame import (
     Strategy,
     StrategyProfile,
     best_response_threshold,
-    expected_utility_transmit,
     solve_sequential,
+    success_probability,
 )
 
 from tests.generators import (
@@ -40,17 +40,23 @@ def vs_opponent(s2: Strategy) -> StrategyProfile:
     return StrategyProfile((Strategy.always(R), s2))
 
 
+def utility(profile, cfg, d):
+    """Node 0's expected utility of transmitting from d (scalar or array)."""
+    c = cfg.costs[0]
+    return (1.0 + c) * success_probability(profile, cfg, 0, d) - c
+
+
 def test_expected_utility_values():
     cfg = cfg_with_cost(1.0)
     profile = vs_opponent(Strategy.always(R))
     # util(0) = (1+c)*1 - c = 1
-    assert expected_utility_transmit(profile, cfg, 0, 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert utility(profile, cfg, 0.0) == pytest.approx(1.0, abs=1e-15)
     # pick d with success 0.6: F(d) = 0.4
     d = R * math.sqrt(0.4)
-    assert expected_utility_transmit(profile, cfg, 0, d) == pytest.approx(0.2, abs=1e-12)
+    assert utility(profile, cfg, d) == pytest.approx(0.2, abs=1e-12)
     # at success = c/(1+c) the utility crosses zero by construction
     d_half = R * math.sqrt(0.5)
-    assert abs(expected_utility_transmit(profile, cfg, 0, d_half)) <= 1e-12
+    assert abs(utility(profile, cfg, d_half)) <= 1e-12
 
 
 def test_interior_against_always_transmitter():
@@ -88,7 +94,7 @@ def test_flat_at_zero_resolves_to_left_edge():
     result = best_response_threshold(vs_opponent(Strategy.threshold(6.0, R)), cfg, 0)
     assert result.boundary_case == INTERIOR
     assert result.threshold == pytest.approx(6.0, abs=1e-12)
-    assert expected_utility_transmit(vs_opponent(Strategy.threshold(6.0, R)), cfg, 0, 7.0) == 0.0
+    assert utility(vs_opponent(Strategy.threshold(6.0, R)), cfg, 7.0) == 0.0
 
 
 def test_boundary_zero_case():
@@ -128,11 +134,11 @@ def test_sign_structure_on_random_instances():
         result = best_response_threshold(profile, cfg, 0)
         t = result.threshold
         left = np.linspace(0.0, t * (1.0 - 1e-9), 200)
-        util_left = expected_utility_transmit(profile, cfg, 0, left)
+        util_left = utility(profile, cfg, left)
         assert np.all(util_left > 0.0)
         if result.boundary_case != FULL_TRANSMIT:
             right = np.linspace(t, R, 200)
-            util_right = expected_utility_transmit(profile, cfg, 0, right)
+            util_right = utility(profile, cfg, right)
             assert np.all(util_right <= 1e-10)
 
 
@@ -175,9 +181,10 @@ def test_monotone_in_cost():
 def test_explicit_tol_and_nonconvergence():
     cfg = cfg_with_cost(1.0)
     profile = vs_opponent(Strategy.always(R))
-    exact = 8.485281374238571
-    coarse = best_response_threshold(profile, cfg, 0, tol=1e-3)
-    assert abs(coarse.threshold - exact) <= 1e-3
+    # the bisection always runs to adjacent floats: util > 0 one float below
+    # the cut-off and <= 0 at it
+    t = best_response_threshold(profile, cfg, 0).threshold
+    assert utility(profile, cfg, math.nextafter(t, 0.0)) > 0.0 >= utility(profile, cfg, t)
     with pytest.raises(NumericError):
         best_response_threshold(profile, cfg, 0, max_iter=3)
 

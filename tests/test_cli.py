@@ -3,12 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from ragame import GameConfig, StrategyProfile
+from ragame import GameConfig, RadialDistribution, Strategy, StrategyProfile
 from ragame.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TWO_NODE = str(CONFIGS / "two_node_uniform.json")
 INNER_HALF = str(CONFIGS / "profile_opponent_inner_half.json")
+COSTS_3_1 = str(CONFIGS / "two_node_costs_3_1.json")
+MIDDLE_BAND = str(CONFIGS / "profile_opponent_middle_band.json")
 
 
 def run(capsys, argv):
@@ -65,6 +67,13 @@ def test_bad_node_index_exits_3(capsys):
     )
     assert code == 3
     assert "out of range" in err
+    code, _, err = run(
+        capsys,
+        ["simulate", "--config", TWO_NODE, "--profile", INNER_HALF, "--node", "7",
+         "--d", "3.0", "--quantity", "utility"],
+    )
+    assert code == 3
+    assert "out of range" in err
 
 
 def test_missing_file_exits_3(capsys, tmp_path):
@@ -86,14 +95,48 @@ def test_missing_file_exits_3(capsys, tmp_path):
 
 
 def test_bad_tolerance_exits_3(capsys):
-    code, _, _ = run(capsys, ["equilibrium", "--config", TWO_NODE, "--tol", "-1"])
-    assert code == 3
+    # without --tol this profile is not an equilibrium (exit 1); a tolerance
+    # of nan or inf must not certify it
+    assert run(capsys, ["verify", "--config", COSTS_3_1, "--profile", MIDDLE_BAND])[0] == 1
+    for tol in ("-1", "0", "nan", "inf"):
+        code, out, _ = run(capsys, ["equilibrium", "--config", TWO_NODE, "--tol", tol])
+        assert (code, out) == (3, "")
+        code, out, _ = run(
+            capsys, ["verify", "--config", COSTS_3_1, "--profile", MIDDLE_BAND, "--tol", tol]
+        )
+        assert (code, out) == (3, "")
     code, _, _ = run(
         capsys,
         ["success-curve", "--config", TWO_NODE, "--profile", INNER_HALF,
          "--node", "0", "--grid", "1"],
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--config", TWO_NODE, "--profile", INNER_HALF, "--node", "0", "--d", "nan"],
+        ["simulate", "--config", TWO_NODE, "--profile", INNER_HALF, "--node", "0", "--d", "nan",
+         "--quantity", "utility"],
+        ["cutoff-sweep", "--n-list", "2", "--radius", "nan"],
+        ["cutoff-sweep", "--n-list", "2", "--c-list", "nan,1.0"],
+        ["cutoff-sweep", "--n-list", "2", "--c-list", "inf"],
+        ["equilibrium", "--config", "NAN_KNOTS"],
+        ["success-curve", "--config", "NAN_KNOTS", "--profile", INNER_HALF, "--node", "0"],
+    ],
+)
+def test_non_finite_inputs_exit_3(capsys, tmp_path, argv):
+    nan_knots = tmp_path / "nan_knots.json"
+    nan_knots.write_text(json.dumps({
+        "radius": 12.0, "n": 2, "costs": [1.0, 1.0],
+        "distribution": {"kind": "piecewise-linear-cdf",
+                         "knots": [[0.0, 0.0], [float("nan"), 0.5], [12.0, 1.0]]},
+    }))
+    argv = [str(nan_knots) if arg == "NAN_KNOTS" else arg for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
 
 
 def test_numeric_failure_exits_4(capsys, monkeypatch):
@@ -202,17 +245,20 @@ def test_simulate_utility_quantity(capsys):
 
 
 def test_bundled_configs_round_trip():
-    for name in ("two_node_uniform.json", "two_node_costs_3_1.json", "three_node_costs_3_3_1.json"):
-        spec = json.loads((CONFIGS / name).read_text())
-        cfg = GameConfig.from_spec(spec)
-        assert GameConfig.from_spec(cfg.to_spec()).to_spec() == cfg.to_spec()
-    for name in (
-        "profile_opponent_inner_half.json",
-        "profile_opponent_outer_half.json",
-        "profile_opponent_band_edges.json",
-        "profile_opponent_middle_band.json",
-        "profile_both_always.json",
+    disk = RadialDistribution.uniform_disk(12.0)
+    for name, costs in (
+        ("two_node_uniform.json", (1.0, 1.0)),
+        ("two_node_costs_3_1.json", (3.0, 1.0)),
+        ("three_node_costs_3_3_1.json", (3.0, 3.0, 1.0)),
     ):
-        spec = json.loads((CONFIGS / name).read_text())
-        profile = StrategyProfile.from_spec(spec, 12.0)
-        assert StrategyProfile.from_spec(profile.to_spec(), 12.0) == profile
+        cfg = GameConfig.from_spec(json.loads((CONFIGS / name).read_text()))
+        assert cfg == GameConfig(distribution=disk, n=len(costs), costs=costs)
+    for name, opponent in (
+        ("profile_opponent_inner_half.json", ((0.0, 6.0),)),
+        ("profile_opponent_outer_half.json", ((6.0, 12.0),)),
+        ("profile_opponent_band_edges.json", ((0.0, 4.0), (8.0, 12.0))),
+        ("profile_opponent_middle_band.json", ((4.0, 8.0),)),
+        ("profile_both_always.json", ((0.0, 12.0),)),
+    ):
+        profile = StrategyProfile.from_spec(json.loads((CONFIGS / name).read_text()), 12.0)
+        assert profile.strategies == (Strategy.always(12.0), Strategy(12.0, opponent))

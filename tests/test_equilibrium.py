@@ -67,6 +67,9 @@ def test_symmetric_closed_form_monotone_and_limits():
         solve_symmetric_uniform(1, 1.0, R)
     with pytest.raises(DomainError):
         solve_symmetric_uniform(2, 0.0, R)
+    for radius in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            solve_symmetric_uniform(2, 1.0, radius)
 
 
 def test_symmetric_satisfies_success_target():
@@ -219,6 +222,28 @@ def test_verify_checks_each_distinct_node_once(monkeypatch):
         assert next(iter(node.items())) == ("index", i)
 
 
+def test_verify_evaluates_success_once_per_distinct_node(monkeypatch):
+    import ragame.equilibrium as eq
+
+    # every cost distinct (K = n); the cheapest node transmits all the way to R
+    n = 9
+    cfg = uniform_cfg([float(n - k) for k in range(n)])
+    profile = solve_sequential(cfg).profile
+    assert profile.thresholds[-1] == R
+    calls = []
+    real = eq.success_probability
+
+    def counting(strategy_profile, game, i, d):
+        calls.append((i, d))
+        return real(strategy_profile, game, i, d)
+
+    monkeypatch.setattr(eq, "success_probability", counting)
+    report = verify_nash(profile, cfg)
+    assert report.is_nash
+    assert calls == [(i, t) for i, t in enumerate(profile.thresholds)]
+    assert report.as_dict() == _unpacked_as_dict(profile, cfg)
+
+
 def test_damped_iteration_agrees_with_sequential():
     for costs in ((1.0, 1.0), (3.0, 1.0), (3.0, 3.0, 1.0), (2.0, 1.0, 0.5)):
         cfg = uniform_cfg(costs)
@@ -350,7 +375,8 @@ def test_report_unpacks_exactly_on_random_games():
         solved = solve_sequential(cfg)
         assert solved.as_dict() == _unpacked_as_dict(solved.profile, cfg)
         # the same cut-offs as strategies, with one node moved off them
-        moved = solved.profile.to_strategy_profile(R).replace(0, Strategy.threshold(0.5 * R, R))
+        others = solved.profile.to_strategy_profile(R).strategies[1:]
+        moved = StrategyProfile((Strategy.threshold(0.5 * R, R), *others))
         assert verify_nash(moved, cfg).as_dict() == _unpacked_as_dict(moved, cfg)
         bands = random_profile(rng, cfg.n, R)
         assert verify_nash(bands, cfg).as_dict() == _unpacked_as_dict(bands, cfg)

@@ -73,6 +73,9 @@ def test_chunked_aggregation_spans_chunks():
     est = estimate_success_probability(profile, cfg, 0, 3.0, SimConfig(samples=n, seed=5))
     assert est.samples == n
     assert abs(est.mean - 0.9375) <= 5e-3
+    # a curve point counts the same trials as the single-distance estimate
+    curve = estimate_success_curve(profile, cfg, 0, [0.0, 3.0, R], SimConfig(samples=n, seed=5))
+    assert curve[1] == est
 
 
 def test_curve_estimates_monotone_exactly():
@@ -138,11 +141,26 @@ def test_tie_broken_in_favour_and_logged(caplog):
         est = estimate_success_probability(profile, cfg, 0, tie_d, SimConfig(samples=1, seed=seed))
     assert est.mean == 1.0  # the tie goes to the conditioned node
     assert any("tie" in rec.message for rec in caplog.records)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="ragame.monte_carlo"):
+        curve = estimate_success_curve(profile, cfg, 0, [tie_d], SimConfig(samples=1, seed=seed))
+    assert curve == [est]
+    assert any("tie" in rec.message for rec in caplog.records)
 
 
 def test_sim_config_validation():
     with pytest.raises(DomainError):
         SimConfig(samples=0, seed=1)
+    cfg = cfg_n(2)
+    profile = StrategyProfile((Strategy.always(R), Strategy.always(R)))
+    sim = SimConfig(samples=10, seed=1)
+    for d in (float("nan"), -1.0, 12.5):
+        with pytest.raises(DomainError):
+            estimate_success_probability(profile, cfg, 0, d, sim)
+        with pytest.raises(DomainError):
+            estimate_expected_utility(profile, cfg, 0, d, sim)
+        with pytest.raises(DomainError):
+            estimate_success_curve(profile, cfg, 0, [0.0, d], sim)
 
 
 def test_estimates_csv():

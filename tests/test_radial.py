@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -73,6 +71,14 @@ def test_domain_errors():
         d.cdf(-0.1)
     with pytest.raises(DomainError):
         d.cdf(12.1)
+    nan = float("nan")
+    for bad in (nan, np.array([1.0, nan])):
+        with pytest.raises(DomainError):
+            d.cdf(bad)
+        with pytest.raises(DomainError):
+            d.quantile(bad)
+    with pytest.raises(DomainError):
+        d.interval_measure(nan, 4.0)
     with pytest.raises(DomainError):
         d.quantile(1.2)
     with pytest.raises(DomainError):
@@ -90,6 +96,11 @@ def test_piecewise_validation():
         RadialDistribution.piecewise_linear_cdf(2.0, [[0.0, 0.0], [1.0, 0.8], [1.0, 0.9], [2.0, 1.0]])
     with pytest.raises(DomainError):
         RadialDistribution.piecewise_linear_cdf(2.0, [[0.0, 0.0], [1.0, 0.8], [1.5, 0.7], [2.0, 1.0]])
+    nan = float("nan")
+    for knots in ([[0.0, 0.0], [nan, 0.5], [2.0, 1.0]], [[0.0, 0.0], [1.0, nan], [2.0, 1.0]],
+                  [[0.0, 0.0], [float("inf"), 0.5], [2.0, 1.0]]):
+        with pytest.raises(DomainError):
+            RadialDistribution.piecewise_linear_cdf(2.0, knots)
 
 
 def test_quantile_requires_strictly_increasing():
@@ -101,21 +112,17 @@ def test_quantile_requires_strictly_increasing():
         flat.quantile(0.5)
 
 
-def test_from_density_matches_uniform_disk():
-    # The uniform-disk density is linear, so the trapezoid resampling is exact
-    # up to rounding.
-    R = 12.0
-    adapted = RadialDistribution.from_density(R, lambda d: 2.0 * d / R**2, n_knots=10_001)
-    exact = RadialDistribution.uniform_disk(R)
-    grid = np.linspace(0.0, R, 501)
-    assert np.max(np.abs(adapted.cdf(grid) - exact.cdf(grid))) <= 1e-12
-
-
 def test_json_spec_round_trip():
+    disk = RadialDistribution.from_spec({"kind": "uniform-disk", "radius": 12.0})
+    assert (disk.kind, disk.radius, disk.knots_d, disk.knots_cdf) == ("uniform-disk", 12.0, None, None)
     rng = np.random.default_rng(5)
-    for dist in (RadialDistribution.uniform_disk(12.0), random_increasing_cdf(rng, 12.0)):
-        reloaded = RadialDistribution.from_spec(json.loads(json.dumps(dist.to_spec())))
-        assert reloaded.kind == dist.kind
-        assert reloaded.radius == dist.radius
-        grid = np.linspace(0.0, 12.0, 101)
-        assert np.array_equal(reloaded.cdf(grid), dist.cdf(grid))
+    law = random_increasing_cdf(rng, 12.0)
+    knots = np.column_stack([law.knots_d, law.knots_cdf]).tolist()
+    pw = RadialDistribution.from_spec({"kind": "piecewise-linear-cdf", "radius": 12.0, "knots": knots})
+    assert (pw.kind, pw.radius) == ("piecewise-linear-cdf", 12.0)
+    assert np.array_equal(pw.knots_d, law.knots_d)
+    assert np.array_equal(pw.knots_cdf, law.knots_cdf)
+    for bad in ({"kind": "uniform-disk"}, {"kind": "piecewise-linear-cdf", "radius": 12.0},
+                {"kind": "cone", "radius": 12.0}):
+        with pytest.raises(DomainError):
+            RadialDistribution.from_spec(bad)

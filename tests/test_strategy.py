@@ -1,12 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 
 from ragame import DomainError, GameConfig, RadialDistribution, Strategy, StrategyProfile
 
 from tests.generators import random_distribution, random_strategy
-from tests.oracles import union_measure, uniform_disk_cdf
+from tests.oracles import complement_within, union_measure, uniform_disk_cdf
 
 R = 12.0
 DISK = RadialDistribution.uniform_disk(R)
@@ -46,8 +44,11 @@ def test_evaluate_threshold():
     assert s.evaluate(6.0000001) == 0
     assert s.evaluate(0.0) == 0  # {0} is null, stored as (0, 6]
     assert Strategy.never(R).evaluate(5.0) == 0
-    with pytest.raises(DomainError):
-        s.evaluate(12.5)
+    for bad in (12.5, float("nan")):
+        with pytest.raises(DomainError):
+            s.evaluate(bad)
+        with pytest.raises(DomainError):
+            Strategy.threshold(bad, R)
 
 
 def test_transmit_probability():
@@ -59,19 +60,13 @@ def test_transmit_probability():
     assert s.transmit_probability(DISK) == pytest.approx(expected, abs=1e-15)
 
 
-def test_backoff_complement():
-    assert Strategy.threshold(6.0, R).backoff_intervals() == ((6.0, 12.0),)
-    assert Strategy.always(R).backoff_intervals() == ()
-    s = Strategy(radius=R, intervals=((4.0, 6.0), (8.0, 10.0)))
-    assert s.backoff_intervals() == ((0.0, 4.0), (6.0, 8.0), (10.0, 12.0))
-
-
 def test_transmit_plus_backoff_is_one():
     rng = np.random.default_rng(9)
     for _ in range(100):
         dist = random_distribution(rng, R)
         s = random_strategy(rng, R)
-        total = s.transmit_probability(dist) + s.complement().transmit_probability(dist)
+        backoff = Strategy(radius=R, intervals=tuple(complement_within(s.intervals, R)))
+        total = s.transmit_probability(dist) + backoff.transmit_probability(dist)
         assert abs(total - 1.0) <= 1e-12
 
 
@@ -86,11 +81,11 @@ def test_symmetric_difference_measure():
 
 def test_strategy_json_specs():
     assert Strategy.from_spec({"threshold": 6.0}, R) == Strategy.threshold(6.0, R)
-    s = Strategy.from_spec({"intervals": [[4.0, 6.0], [8.0, 10.0]]}, R)
-    assert s.intervals == ((4.0, 6.0), (8.0, 10.0))
-    for spec in ({"threshold": 6.0}, {"intervals": [[4.0, 6.0], [8.0, 10.0]]}):
-        reloaded = Strategy.from_spec(json.loads(json.dumps(Strategy.from_spec(spec, R).to_spec())), R)
-        assert reloaded == Strategy.from_spec(spec, R)
+    s = Strategy.from_spec({"intervals": [[8.0, 10.0], [4.0, 6.0]]}, R)
+    assert (s.radius, s.intervals) == (R, ((4.0, 6.0), (8.0, 10.0)))
+    assert not s.is_threshold and s.cutoff == 10.0
+    profile = StrategyProfile.from_spec([{"threshold": 6.0}, {"intervals": [[8.0, 10.0], [4.0, 6.0]]}], R)
+    assert profile.strategies == (Strategy.threshold(6.0, R), s)
     with pytest.raises(DomainError):
         Strategy.from_spec({"bogus": 1}, R)
 
@@ -127,9 +122,10 @@ def test_game_config_spec_round_trip():
         "distribution": {"kind": "uniform-disk", "radius": 12.0},
     }
     cfg = GameConfig.from_spec(spec)
-    assert cfg.to_spec() == spec
+    assert (cfg.n, cfg.costs, cfg.radius) == (3, (3.0, 3.0, 1.0), 12.0)
+    assert cfg.distribution == RadialDistribution.uniform_disk(12.0)
     # distribution radius may be omitted and inherited
     short = {**spec, "distribution": {"kind": "uniform-disk"}}
-    assert GameConfig.from_spec(short).to_spec() == spec
+    assert GameConfig.from_spec(short) == cfg
     with pytest.raises(DomainError):
         GameConfig.from_spec({**spec, "distribution": {"kind": "uniform-disk", "radius": 10.0}})

@@ -9,11 +9,10 @@ from ragame import (
     RadialDistribution,
     Strategy,
     StrategyProfile,
-    breakpoints,
     success_curve,
     success_probability,
 )
-from ragame.success import success_evaluator
+from ragame.success import breakpoints, success_evaluator
 
 from tests.generators import (
     random_distribution,
@@ -23,6 +22,7 @@ from tests.generators import (
     random_threshold_profile,
 )
 from tests.oracles import (
+    complement_within,
     linear_cdf,
     success_direct,
     success_per_call,
@@ -68,7 +68,7 @@ def test_opponent_factor_equals_direct_union_measure():
         cdf = (lambda dd: float(dist.cdf(dd)))
         for d in rng.uniform(0.0, R, 5):
             direct = union_measure(
-                cdf, [(d, R)] + [list(iv) for iv in s.backoff_intervals()]
+                cdf, [(d, R)] + complement_within(s.intervals, R)
             )
             assert abs((1.0 - s.transmit_mass_below(dist, float(d))) - direct) <= 1e-12
 
@@ -142,6 +142,9 @@ def test_success_curve_includes_breakpoints_and_minimal_grid():
         success_curve(profile, cfg, 0, grid_size=1)
     with pytest.raises(DomainError):
         success_curve(profile, cfg, 5, grid_size=10)
+    for bad in (float("nan"), 12.5, np.array([0.0, float("nan")])):
+        with pytest.raises(DomainError):
+            success_probability(profile, cfg, 0, bad)
 
 
 def test_success_matches_direct_oracle_on_random_profiles():
