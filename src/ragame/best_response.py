@@ -45,8 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import NumericError
-from .strategy import GameConfig, Strategy, StrategyProfile
+from .strategy import GameConfig, StrategyProfile
 from .success import breakpoints, success_evaluator
 
 INTERIOR = "interior"
@@ -57,29 +56,45 @@ BOUNDARY_ZERO = "boundary-zero"
 VALUE_TOL = 1e-12
 
 
+def first_zero(f, lo: float, hi: float) -> float:
+    """Left edge of the set where f <= 0, for f(lo) > 0 >= f(hi).
+
+    Bisects with that invariant until lo and hi are adjacent floats and
+    returns hi.  No step cap is needed: each step either stops or moves an
+    endpoint strictly inside the bracket, and a NaN value counts as <= 0.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
 @dataclass(frozen=True)
 class BestResponseResult:
-    """Cut-off best response of one node against a fixed opponent profile."""
+    """Cut-off best response of one node against a fixed opponent profile.
+
+    The best-response strategy is ``Strategy.threshold(threshold, R)``.
+    """
 
     threshold: float
     boundary_case: str  # one of INTERIOR, FULL_TRANSMIT, BOUNDARY_ZERO
     utility_at_threshold: float
-    strategy: Strategy
 
 
 def best_response_threshold(
-    profile: StrategyProfile,
-    cfg: GameConfig,
-    i: int,
-    max_iter: int = 200,
+    profile: StrategyProfile, cfg: GameConfig, i: int
 ) -> BestResponseResult:
     """Critical distance below which node i should transmit.
 
-    Bisects until the bracket endpoints are adjacent floats, which always
-    lands well inside the documented 1e-10 * radius guarantee.  The returned
-    threshold t carries util(t) <= 0 (the node backs off at its own
-    threshold), except in the full-transmit case where util stays positive
-    everywhere including at R.
+    Bisects with :func:`first_zero` until the bracket endpoints are adjacent
+    floats, however small the cut-off, which always lands well inside the
+    documented 1e-10 * radius guarantee.  The returned threshold t carries
+    util(t) <= 0 (the node backs off at its own threshold), except in the
+    full-transmit case where util stays positive everywhere including at R.
     """
     radius = cfg.radius
     success = success_evaluator(profile, cfg, i)
@@ -90,12 +105,7 @@ def best_response_threshold(
 
     util_end = util(radius)
     if util_end > VALUE_TOL:
-        return BestResponseResult(
-            threshold=radius,
-            boundary_case=FULL_TRANSMIT,
-            utility_at_threshold=util_end,
-            strategy=Strategy.always(radius),
-        )
+        return BestResponseResult(radius, FULL_TRANSMIT, util_end)
 
     # util is bit-exactly constant (= util_end, now within VALUE_TOL of zero)
     # beyond the last distance at which any opponent transmits.
@@ -112,42 +122,9 @@ def best_response_threshold(
         # and tied at zero within VALUE_TOL: back off from the region's left
         # edge, or only at R itself if opponents transmit all the way out.
         if silent_tail_start == radius:
-            case, threshold = BOUNDARY_ZERO, radius
-        else:
-            case, threshold = INTERIOR, silent_tail_start
-        return BestResponseResult(
-            threshold=threshold,
-            boundary_case=case,
-            utility_at_threshold=util_end,
-            strategy=Strategy.threshold(threshold, radius)
-            if case == INTERIOR
-            else Strategy.always(radius),
-        )
+            return BestResponseResult(radius, BOUNDARY_ZERO, util_end)
+        return BestResponseResult(silent_tail_start, INTERIOR, util_end)
 
-    # First-hit bisection: keep util(lo) > 0 >= util(hi).
-    lo, hi = edges[k - 1] if k else 0.0, edges[k]
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if util(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        raise NumericError(
-            f"best-response bisection for node {i} did not converge: "
-            f"bracket [{lo!r}, {hi!r}], util [{util(lo)!r}, {util(hi)!r}]"
-        )
-
-    if hi == radius:
-        # Positive on every representable d < R: boundary case at R.
-        case = BOUNDARY_ZERO
-    else:
-        case = INTERIOR
-    return BestResponseResult(
-        threshold=hi,
-        boundary_case=case,
-        utility_at_threshold=util(hi),
-        strategy=Strategy.threshold(hi, radius),
-    )
+    t = first_zero(util, edges[k - 1] if k else 0.0, edges[k])
+    # At t == R util is positive on every representable d < R: boundary case.
+    return BestResponseResult(t, BOUNDARY_ZERO if t == radius else INTERIOR, util(t))

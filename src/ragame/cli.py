@@ -53,10 +53,23 @@ def _load_json(*paths: str) -> list:
     return [json.loads(text) for text in texts]
 
 
+@contextmanager
+def _parsing(what: str):
+    """Report a value of the wrong type or shape in ``what`` as a domain error (exit 3)."""
+    try:
+        yield
+    except DomainError:  # a ValueError already carrying its own message
+        raise
+    except (TypeError, ValueError, IndexError) as exc:
+        raise DomainError(f"malformed {what}: {exc}") from exc
+
+
 def _load_game(args) -> tuple[GameConfig, StrategyProfile]:
     cfg_spec, profile_spec = _load_json(args.config, args.profile)
-    cfg = GameConfig.from_spec(cfg_spec)
-    return cfg, StrategyProfile.from_spec(profile_spec, cfg.radius)
+    with _parsing("game config"):
+        cfg = GameConfig.from_spec(cfg_spec)
+    with _parsing("strategy profile"):
+        return cfg, StrategyProfile.from_spec(profile_spec, cfg.radius)
 
 
 @contextmanager
@@ -78,11 +91,12 @@ def cmd_success_curve(args) -> int:
 
 
 def cmd_cutoff_sweep(args) -> int:
-    n_list = [int(x) for x in args.n_list.split(",") if x]
-    if args.c_list:
-        c_grid = [float(x) for x in args.c_list.split(",") if x]
-    else:
-        c_grid = [float(c) for c in np.linspace(args.c_min, args.c_max, args.c_count)]
+    with _parsing("sweep arguments"):
+        n_list = [int(x) for x in args.n_list.split(",") if x]
+        if args.c_list:
+            c_grid = [float(x) for x in args.c_list.split(",") if x]
+        else:
+            c_grid = [float(c) for c in np.linspace(args.c_min, args.c_max, args.c_count)]
     if not all(0 < c < math.inf for c in c_grid):
         raise DomainError("costs in the sweep must be positive and finite")
     lines = ["n,c,d_star\n"]
@@ -102,7 +116,9 @@ def _write_report(args, report) -> int:
 
 def cmd_equilibrium(args) -> int:
     (spec,) = _load_json(args.config)
-    return _write_report(args, solve_sequential(GameConfig.from_spec(spec), tol=args.tol))
+    with _parsing("game config"):
+        cfg = GameConfig.from_spec(spec)
+    return _write_report(args, solve_sequential(cfg, tol=args.tol))
 
 
 def cmd_verify(args) -> int:

@@ -38,10 +38,16 @@ import math
 from array import array
 from dataclasses import dataclass, field
 
-from .best_response import BOUNDARY_ZERO, FULL_TRANSMIT, INTERIOR, best_response_threshold
+from .best_response import (
+    BOUNDARY_ZERO,
+    FULL_TRANSMIT,
+    INTERIOR,
+    best_response_threshold,
+    first_zero,
+)
 from .errors import DomainError, NumericError
 from .strategy import GameConfig, Strategy, StrategyProfile
-from .success import success_probability
+from .success import _check, success_probability
 
 
 #: Largest |success(cut-off) - cost/(1+cost)| at an interior cut-off that the
@@ -343,11 +349,11 @@ def solve_sequential(cfg: GameConfig, tol: float | None = None) -> EquilibriumRe
     return verify_nash(profile, cfg, tol=tol)
 
 
-def _bisect_class_equation(dist, prefix, exponent, target, lo, hi, max_iter=200):
+def _bisect_class_equation(dist, prefix, exponent, target, lo, hi):
     """First root of prefix * (1 - F(t))^exponent - target on (lo, hi).
 
-    The function is strictly decreasing, positive at lo and negative at hi.
-    Bisects until the bracket endpoints are adjacent floats.
+    The function is strictly decreasing and negative at hi; when it is
+    positive at lo, :func:`first_zero` bisects to adjacent floats.
     """
 
     def value(t: float) -> float:
@@ -357,40 +363,22 @@ def _bisect_class_equation(dist, prefix, exponent, target, lo, hi, max_iter=200)
         raise NumericError(
             f"class equation not bracketed: value({lo!r}) = {value(lo)!r} <= 0"
         )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return hi
-        if value(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericError(f"class equation bisection stalled on [{lo!r}, {hi!r}]")
+    return first_zero(value, lo, hi)
 
 
-def best_response_iteration(
-    cfg: GameConfig,
-    damping: float = 0.5,
-    tol: float | None = None,
-    max_rounds: int = 10_000,
-    initial: ThresholdProfile | None = None,
-) -> ThresholdProfile:
+def best_response_iteration(cfg: GameConfig) -> ThresholdProfile:
     """Damped simultaneous best-response iteration; independent of the
     sequential solver, used as a cross-check oracle.
 
-    Iterates t <- t + damping * (best_response(t) - t) until the fixed-point
-    residual max_i |best_response_i - t_i| drops below ``tol`` (default
-    1e-9 * radius).
+    Starts with every cut-off at R and iterates
+    t <- t + 0.5 * (best_response(t) - t) until the fixed-point residual
+    max_i |best_response_i - t_i| is at most 1e-9 * radius; raises
+    NumericError after 10,000 rounds without that.
     """
-    if not (0 < damping <= 1):
-        raise DomainError(f"damping must be in (0, 1], got {damping!r}")
     radius = cfg.radius
-    if tol is None:
-        tol = 1e-9 * radius
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
-    thresholds = list(initial.thresholds) if initial else [radius] * cfg.n
-    for _ in range(max_rounds):
+    tol = 1e-9 * radius
+    thresholds = [radius] * cfg.n
+    for _ in range(10_000):
         profile = ThresholdProfile(tuple(thresholds)).to_strategy_profile(radius)
         results = [best_response_threshold(profile, cfg, i) for i in range(cfg.n)]
         responses = [r.threshold for r in results]
@@ -400,12 +388,9 @@ def best_response_iteration(
                 r.boundary_case == FULL_TRANSMIT for r in results if r.threshold == radius
             )
             return ThresholdProfile(tuple(responses), last_class_full=full)
-        thresholds = [
-            t + damping * (r - t) for r, t in zip(responses, thresholds)
-        ]
+        thresholds = [t + 0.5 * (r - t) for r, t in zip(responses, thresholds)]
     raise NumericError(
-        f"best-response iteration did not reach residual {tol!r} "
-        f"within {max_rounds} rounds"
+        f"best-response iteration did not reach residual {tol!r} within 10000 rounds"
     )
 
 
@@ -444,10 +429,7 @@ def verify_nash(
         strategy_profile = profile.to_strategy_profile(radius)
     else:
         strategy_profile = profile
-    if strategy_profile.n != cfg.n:
-        raise DomainError(f"profile has {strategy_profile.n} strategies for {cfg.n} nodes")
-    if strategy_profile.radius != radius:
-        raise DomainError("profile radius and game radius disagree")
+    _check(strategy_profile, cfg)
 
     # A node's best response depends only on its own cost and the multiset
     # of its opponents' strategies, so nodes alike in both are checked once.
@@ -464,7 +446,7 @@ def verify_nash(
         s, cost = key
         br = best_response_threshold(strategy_profile, cfg, i)
         cutoff = s.cutoff
-        sym_diff = s.symmetric_difference_measure(br.strategy, dist)
+        sym_diff = s.symmetric_difference_measure(Strategy.threshold(br.threshold, radius), dist)
         # Discrepancies invisible to the law (null sets) must pass, so the
         # measure bar is the mass of a tol-ball around the best response.
         ball_lo = max(0.0, br.threshold - tol)

@@ -64,6 +64,9 @@ class RadialDistribution:
                 raise DomainError("knot distances must be strictly increasing")
             if not np.all(np.diff(cdf) >= 0):
                 raise DomainError("CDF knots must be non-decreasing")
+            with np.errstate(over="ignore"):
+                if not np.all(np.isfinite(np.diff(cdf) / np.diff(d))):
+                    raise DomainError("CDF slope between knots overflows")
             object.__setattr__(self, "knots_d", d)
             object.__setattr__(self, "knots_cdf", cdf)
         else:

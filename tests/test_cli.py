@@ -139,6 +139,55 @@ def test_non_finite_inputs_exit_3(capsys, tmp_path, argv):
     assert err.startswith("error: ")
 
 
+GOOD_CONFIG = {"radius": 12.0, "n": 2, "costs": [1.0, 1.0], "distribution": {"kind": "uniform-disk"}}
+
+
+@pytest.mark.parametrize(
+    "config, profile_entry, sweep",
+    [
+        ({"n": float("nan")}, None, None),
+        ({"costs": 1.0}, None, None),
+        ({"radius": "x"}, None, None),
+        ({"distribution": 5}, None, None),
+        ({"distribution": {"kind": "piecewise-linear-cdf", "knots": [[0, 0], [0, "a"], [12, 1]]}},
+         None, None),
+        (None, {"threshold": "x"}, None),
+        (None, {"intervals": 5}, None),
+        (None, {"intervals": [[1]]}, None),
+        (None, None, ["--n-list", "2,x"]),
+        (None, None, ["--c-count", "-1"]),
+    ],
+    ids=["n-nan", "costs-scalar", "radius-str", "distribution-int", "knot-str",
+         "threshold-str", "intervals-int", "interval-short", "n-list-str", "c-count-negative"],
+)
+def test_wrongly_typed_specs_exit_3(capsys, tmp_path, config, profile_entry, sweep):
+    config_path, profile_path = tmp_path / "config.json", tmp_path / "profile.json"
+    config_path.write_text(json.dumps({**GOOD_CONFIG, **(config or {})}))
+    profile_path.write_text(json.dumps([{"threshold": 12.0}, profile_entry or {"threshold": 6.0}]))
+    if sweep:
+        runs = [["cutoff-sweep", *sweep]]
+    else:
+        runs = [["verify", "--config", str(config_path), "--profile", str(profile_path)]]
+    if config:
+        runs.append(["equilibrium", "--config", str(config_path)])
+    for argv in runs:
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: malformed ")
+
+
+def test_tiny_cutoff_equilibrium_exits_0(capsys, tmp_path):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps({
+        **GOOD_CONFIG,
+        "distribution": {"kind": "piecewise-linear-cdf",
+                         "knots": [[0.0, 0.0], [1e-100, 0.9], [12.0, 1.0]]},
+    }))
+    code, out, _ = run(capsys, ["equilibrium", "--config", str(config)])
+    assert code == 0
+    assert json.loads(out)["is_nash"] is True
+
+
 def test_numeric_failure_exits_4(capsys, monkeypatch):
     from ragame import NumericError
     import ragame.cli as cli_mod

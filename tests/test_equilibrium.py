@@ -244,6 +244,27 @@ def test_verify_evaluates_success_once_per_distinct_node(monkeypatch):
     assert report.as_dict() == _unpacked_as_dict(profile, cfg)
 
 
+@pytest.mark.parametrize("knot", [1e-100, 1e-300])
+def test_tiny_cutoffs_solve_and_verify(knot):
+    # Cut-offs hundreds of halvings below R: the bisections must run to
+    # adjacent floats however many steps that takes.
+    law = RadialDistribution.piecewise_linear_cdf(R, [[0.0, 0.0], [knot, 0.9], [R, 1.0]])
+    for costs in ((1.0, 1.0), (3.0, 1.0), (1.0, 2.0, 3.0)):
+        report = solve_sequential(GameConfig(law, len(costs), costs))
+        assert report.is_nash, costs
+    versus_always = StrategyProfile((Strategy.always(R), Strategy.always(R)))
+    for c in (0.5, 1.0, 4.0):
+        cfg = GameConfig(law, 2, (c, c))
+        t, t_other = solve_sequential(cfg).profile.thresholds
+        assert t == t_other
+        assert math.isclose(t, knot * (1.0 / (1.0 + c)) / 0.9, rel_tol=1e-12)
+        # Against an always-transmitting opponent the cut-off is where F = 1/(1+c).
+        br = best_response_threshold(versus_always, cfg, 0).threshold
+        assert br < knot
+        util = lambda d: (1.0 + c) * success_probability(versus_always, cfg, 0, d) - c
+        assert util(math.nextafter(br, 0.0)) > 0.0 >= util(br)
+
+
 def test_damped_iteration_agrees_with_sequential():
     for costs in ((1.0, 1.0), (3.0, 1.0), (3.0, 3.0, 1.0), (2.0, 1.0, 0.5)):
         cfg = uniform_cfg(costs)
@@ -285,7 +306,7 @@ def _unpacked_as_dict(profile, cfg, tol=None, residual_tol=1e-8):
     nodes, residuals = [], []
     for i, s in enumerate(strategies):
         br = best_response_threshold(profile, cfg, i)
-        sym = s.symmetric_difference_measure(br.strategy, dist)
+        sym = s.symmetric_difference_measure(Strategy.threshold(br.threshold, radius), dist)
         bar = dist.interval_measure(max(0.0, br.threshold - tol), min(radius, br.threshold + tol))
         nodes.append({
             "index": i,

@@ -98,7 +98,9 @@ def test_piecewise_validation():
         RadialDistribution.piecewise_linear_cdf(2.0, [[0.0, 0.0], [1.0, 0.8], [1.5, 0.7], [2.0, 1.0]])
     nan = float("nan")
     for knots in ([[0.0, 0.0], [nan, 0.5], [2.0, 1.0]], [[0.0, 0.0], [1.0, nan], [2.0, 1.0]],
-                  [[0.0, 0.0], [float("inf"), 0.5], [2.0, 1.0]]):
+                  [[0.0, 0.0], [float("inf"), 0.5], [2.0, 1.0]],
+                  # CDF slope 0.9 / 1e-309 overflows to inf
+                  [[0.0, 0.0], [1e-309, 0.9], [2.0, 1.0]]):
         with pytest.raises(DomainError):
             RadialDistribution.piecewise_linear_cdf(2.0, knots)
 
