@@ -115,7 +115,7 @@ def best_response_threshold(
 
     # Search the breakpoint partition up to the terminal region for the first
     # cell whose right edge is non-positive; util > 0 on every cell before it.
-    edges = [b for b in breakpoints(profile, i).tolist() if 0.0 < b <= silent_tail_start]
+    edges = [b for b in breakpoints(profile, i) if 0.0 < b <= silent_tail_start]
     k = bisect_left(edges, True, key=lambda edge: util(edge) <= 0.0)
     if k == len(edges):
         # util > 0 strictly until the terminal region, where it is constant

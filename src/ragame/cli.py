@@ -24,8 +24,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from .equilibrium import solve_sequential, solve_symmetric_uniform, verify_nash
 from .errors import DomainError, NumericError
 from .monte_carlo import (
@@ -60,7 +58,7 @@ def _parsing(what: str):
         yield
     except DomainError:  # a ValueError already carrying its own message
         raise
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DomainError(f"malformed {what}: {exc}") from exc
 
 
@@ -96,6 +94,7 @@ def cmd_cutoff_sweep(args) -> int:
         if args.c_list:
             c_grid = [float(x) for x in args.c_list.split(",") if x]
         else:
+            import numpy as np
             c_grid = [float(c) for c in np.linspace(args.c_min, args.c_max, args.c_count)]
     if not all(0 < c < math.inf for c in c_grid):
         raise DomainError("costs in the sweep must be positive and finite")

@@ -24,8 +24,6 @@ import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 from .strategy import GameConfig, StrategyProfile
 
@@ -56,13 +54,9 @@ class SimEstimate:
     samples: int
 
 
-def _chunk_seeds(seed: int, samples: int):
-    n_chunks = math.ceil(samples / CHUNK_SIZE)
-    return np.random.SeedSequence(seed).spawn(n_chunks)
-
-
-def _closest_transmitter_distances(profile, cfg, i, rng, size) -> np.ndarray:
+def _closest_transmitter_distances(profile, cfg, i, rng, size):
     """Per trial, the distance of the closest transmitting opponent (inf if none)."""
+    import numpy as np
     opponents = profile.opponents(i)
     u = rng.random((size, len(opponents)))
     distances = cfg.distribution.quantile(u)
@@ -74,7 +68,7 @@ def _closest_transmitter_distances(profile, cfg, i, rng, size) -> np.ndarray:
     return closest
 
 
-def _estimates(profile, cfg, i, grid: np.ndarray, sim: SimConfig) -> list[SimEstimate]:
+def _estimates(profile, cfg, i, grid, sim: SimConfig) -> list[SimEstimate]:
     """Per grid distance d, node i's estimated success probability from d.
 
     A trial succeeds when no transmitting opponent is strictly closer than d,
@@ -82,14 +76,16 @@ def _estimates(profile, cfg, i, grid: np.ndarray, sim: SimConfig) -> list[SimEst
     closest-transmitter distances are sorted once and every grid point is
     counted by binary search.
     """
+    import numpy as np
     profile.check_index(i)
+    grid = np.asarray(grid, dtype=float)
     outside = ~((grid >= 0) & (grid <= cfg.radius))
     if outside.any():
         raise DomainError(f"distance {float(grid[outside][0])!r} outside [0, {cfg.radius}]")
     counts = np.zeros(grid.size, dtype=np.int64)
     ties = 0
     done = 0
-    for child in _chunk_seeds(sim.seed, sim.samples):
+    for child in np.random.SeedSequence(sim.seed).spawn(math.ceil(sim.samples / CHUNK_SIZE)):
         size = min(CHUNK_SIZE, sim.samples - done)
         closest = _closest_transmitter_distances(
             profile, cfg, i, np.random.default_rng(child), size
@@ -119,7 +115,7 @@ def estimate_success_probability(
     Node i is forced to transmit; success means no transmitting opponent is
     strictly closer than d.
     """
-    (estimate,) = _estimates(profile, cfg, i, np.array([d], dtype=float), sim)
+    (estimate,) = _estimates(profile, cfg, i, [d], sim)
     return estimate
 
 
@@ -131,7 +127,7 @@ def estimate_success_curve(
     Every grid point sees the same opponent draws per trial, so the
     estimated curve is non-increasing in d exactly, not just statistically.
     """
-    return _estimates(profile, cfg, i, np.asarray(grid, dtype=float), sim)
+    return _estimates(profile, cfg, i, grid, sim)
 
 
 def estimate_expected_utility(
@@ -158,8 +154,5 @@ def estimate_expected_utility(
 
 def write_estimates_csv(grid, estimates, fileobj):
     """CSV rows d, estimate, std_error (header included)."""
-    rows = (
-        f"{d!r},{est.mean!r},{est.std_error!r}\n"
-        for d, est in zip(np.asarray(grid, dtype=float).tolist(), estimates)
-    )
+    rows = (f"{d!r},{e.mean!r},{e.std_error!r}\n" for d, e in zip(map(float, grid), estimates))
     fileobj.write("d,estimate,std_error\n" + "".join(rows))

@@ -13,8 +13,8 @@ Two representations are supported:
 * ``piecewise-linear-cdf`` -- an arbitrary continuous law given by sorted
   CDF knots; interval measures are exact sums of knot differences.
 
-A bounded-density law additionally exposes ``density_sup``, the supremum of
-its density, which bounds how fast success probabilities can change.
+Scalar evaluation is plain Python; numpy is imported only where an array
+is taken or returned, so the solver and the verifier never load it.
 """
 
 from __future__ import annotations
@@ -22,14 +22,33 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
-
-import numpy as np
 
 from .errors import DomainError
 
 UNIFORM_DISK = "uniform-disk"
 PIECEWISE_LINEAR_CDF = "piecewise-linear-cdf"
+
+
+def spec_number(value, what: str) -> float:
+    """A JSON number as a float; TypeError for anything else, bools and strings included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def spec_numbers(values, what: str, length: int | None = None) -> tuple[float, ...]:
+    """A JSON array of numbers, of the given length if one is named, as floats."""
+    if not isinstance(values, (list, tuple)) or length not in (None, len(values)):
+        count = length or "any number of"
+        raise TypeError(f"{what} must be an array of {count} numbers, got {values!r}")
+    return tuple(spec_number(v, what) for v in values)
+
+
+def spec_pairs(values, what: str) -> list[tuple[float, ...]]:
+    """A JSON array of [number, number] pairs, such as knots or intervals."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"{what} must be an array of pairs, got {values!r}")
+    return [spec_numbers(pair, f"each of the {what}", 2) for pair in values]
 
 
 @dataclass(frozen=True)
@@ -42,8 +61,8 @@ class RadialDistribution:
 
     radius: float
     kind: str
-    knots_d: np.ndarray | None = field(default=None, repr=False)
-    knots_cdf: np.ndarray | None = field(default=None, repr=False)
+    knots_d: tuple[float, ...] | None = field(default=None, repr=False)
+    knots_cdf: tuple[float, ...] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
@@ -52,21 +71,20 @@ class RadialDistribution:
             if self.knots_d is not None or self.knots_cdf is not None:
                 raise DomainError("uniform-disk law takes no knots")
         elif self.kind == PIECEWISE_LINEAR_CDF:
-            d = np.asarray(self.knots_d, dtype=float)
-            cdf = np.asarray(self.knots_cdf, dtype=float)
-            if d.ndim != 1 or d.shape != cdf.shape or d.size < 2:
+            d, cdf = tuple(map(float, self.knots_d)), tuple(map(float, self.knots_cdf))
+            if len(d) != len(cdf) or len(d) < 2:
                 raise DomainError("piecewise CDF needs >= 2 knots of equal length")
             if d[0] != 0.0 or d[-1] != self.radius:
                 raise DomainError("knot distances must start at 0 and end at radius")
             if cdf[0] != 0.0 or cdf[-1] != 1.0:
                 raise DomainError("knot CDF values must start at 0 and end at 1")
-            if not np.all(np.diff(d) > 0):
+            if not all(x0 < x1 for x0, x1 in zip(d, d[1:])):
                 raise DomainError("knot distances must be strictly increasing")
-            if not np.all(np.diff(cdf) >= 0):
+            if not all(y0 <= y1 for y0, y1 in zip(cdf, cdf[1:])):
                 raise DomainError("CDF knots must be non-decreasing")
-            with np.errstate(over="ignore"):
-                if not np.all(np.isfinite(np.diff(cdf) / np.diff(d))):
-                    raise DomainError("CDF slope between knots overflows")
+            slopes = ((y1 - y0) / (x1 - x0) for x0, x1, y0, y1 in zip(d, d[1:], cdf, cdf[1:]))
+            if not all(map(math.isfinite, slopes)):  # float division overflows to inf
+                raise DomainError("CDF slope between knots overflows")
             object.__setattr__(self, "knots_d", d)
             object.__setattr__(self, "knots_cdf", cdf)
         else:
@@ -80,15 +98,11 @@ class RadialDistribution:
     @classmethod
     def piecewise_linear_cdf(cls, radius: float, knots) -> "RadialDistribution":
         """Continuous law given by sorted (distance, CDF) knots."""
-        knots = np.asarray(knots, dtype=float)
-        if knots.ndim != 2 or knots.shape[1] != 2:
-            raise DomainError("knots must be a sequence of (distance, cdf) pairs")
-        return cls(
-            radius=float(radius),
-            kind=PIECEWISE_LINEAR_CDF,
-            knots_d=knots[:, 0].copy(),
-            knots_cdf=knots[:, 1].copy(),
-        )
+        try:
+            d, cdf = zip(*[(float(x), float(y)) for x, y in knots])
+        except (TypeError, ValueError) as exc:
+            raise DomainError("knots must be a sequence of (distance, cdf) pairs") from exc
+        return cls(radius=float(radius), kind=PIECEWISE_LINEAR_CDF, knots_d=d, knots_cdf=cdf)
 
     # -- JSON spec -----------------------------------------------------------
 
@@ -98,24 +112,16 @@ class RadialDistribution:
         if not isinstance(spec, dict) or "kind" not in spec or "radius" not in spec:
             raise DomainError("distribution spec needs 'kind' and 'radius'")
         kind = spec["kind"]
-        radius = float(spec["radius"])
+        radius = spec_number(spec["radius"], "radius")
         if kind == UNIFORM_DISK:
             return cls.uniform_disk(radius)
         if kind == PIECEWISE_LINEAR_CDF:
             if "knots" not in spec:
                 raise DomainError("piecewise-linear-cdf spec needs 'knots'")
-            return cls.piecewise_linear_cdf(radius, spec["knots"])
+            return cls.piecewise_linear_cdf(radius, spec_pairs(spec["knots"], "knots"))
         raise DomainError(f"unknown distribution kind {kind!r}")
 
     # -- properties ----------------------------------------------------------
-
-    @property
-    def density_sup(self) -> float:
-        """Supremum of the density (max CDF slope)."""
-        if self.kind == UNIFORM_DISK:
-            return 2.0 / self.radius
-        slopes = np.diff(self.knots_cdf) / np.diff(self.knots_d)
-        return float(slopes.max())
 
     @property
     def strictly_increasing(self) -> bool:
@@ -126,21 +132,15 @@ class RadialDistribution:
         """
         if self.kind == UNIFORM_DISK:
             return True
-        return bool(np.all(np.diff(self.knots_cdf) > 0))
+        return all(y0 < y1 for y0, y1 in zip(self.knots_cdf, self.knots_cdf[1:]))
 
     # -- measure operations ----------------------------------------------------
-
-    @cached_property
-    def _knot_lists(self) -> tuple[list[float], list[float]]:
-        # plain lists make the scalar CDF a bisect away instead of an
-        # array round-trip; root-finders call it millions of times
-        return list(map(float, self.knots_d)), list(map(float, self.knots_cdf))
 
     def cdf_scalar(self, d: float) -> float:
         """Scalar fast path of :meth:`cdf`; assumes 0 <= d <= radius."""
         if self.kind == UNIFORM_DISK:
             return (d / self.radius) ** 2
-        xs, ys = self._knot_lists
+        xs, ys = self.knots_d, self.knots_cdf
         j = bisect_right(xs, d) - 1
         if j >= len(xs) - 1:
             return ys[-1]
@@ -159,13 +159,12 @@ class RadialDistribution:
             if not 0 <= d <= self.radius:
                 raise DomainError(f"distance {d!r} outside [0, {self.radius}]")
             return self.cdf_scalar(float(d))
+        import numpy as np
         arr = np.asarray(d, dtype=float)
         if not np.all((arr >= 0) & (arr <= self.radius)):
             raise DomainError(f"distance {d!r} outside [0, {self.radius}]")
-        if self.kind == UNIFORM_DISK:
-            out = (arr / self.radius) ** 2
-        else:
-            out = np.interp(arr, self.knots_d, self.knots_cdf)
+        disk = self.kind == UNIFORM_DISK
+        out = (arr / self.radius) ** 2 if disk else np.interp(arr, self.knots_d, self.knots_cdf)
         return float(out) if arr.ndim == 0 else out
 
     def interval_measure(self, a: float, b: float) -> float:
@@ -180,6 +179,7 @@ class RadialDistribution:
         Requires a strictly increasing CDF so the inverse is well defined.
         Accepts a scalar or an array of probabilities in [0, 1].
         """
+        import numpy as np
         arr = np.asarray(p, dtype=float)
         if not np.all((arr >= 0) & (arr <= 1)):
             raise DomainError(f"probability {p!r} outside [0, 1]")

@@ -16,10 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import DomainError
-from .radial import RadialDistribution
+from .radial import RadialDistribution, spec_number, spec_numbers, spec_pairs
 
 Interval = tuple[float, float]
 
@@ -100,9 +98,9 @@ class Strategy:
         if not isinstance(spec, dict):
             raise DomainError(f"strategy spec must be an object, got {spec!r}")
         if "threshold" in spec:
-            return cls.threshold(float(spec["threshold"]), radius)
+            return cls.threshold(spec_number(spec["threshold"], "threshold"), radius)
         if "intervals" in spec:
-            return cls(radius=float(radius), intervals=tuple(tuple(p) for p in spec["intervals"]))
+            return cls(radius=float(radius), intervals=spec_pairs(spec["intervals"], "intervals"))
         raise DomainError("strategy spec needs 'threshold' or 'intervals'")
 
     # -- structure -------------------------------------------------------------
@@ -130,8 +128,9 @@ class Strategy:
                 return 1
         return 0
 
-    def transmit_mask(self, d: np.ndarray) -> np.ndarray:
+    def transmit_mask(self, d):
         """Vectorized :meth:`evaluate` returning a boolean array."""
+        import numpy as np
         d = np.asarray(d)
         mask = np.zeros(d.shape, dtype=bool)
         for a, b in self.intervals:
@@ -154,6 +153,7 @@ class Strategy:
         success curves; the scalar one is ``success.success_evaluator``.
         """
         self._check_dist(dist)
+        import numpy as np
         arr = np.asarray(d, dtype=float)
         total = np.zeros(arr.shape)
         for a, b in self.intervals:
@@ -242,17 +242,20 @@ class GameConfig:
         """Build from ``{"radius": R, "n": n, "costs": [...], "distribution": {...}}``.
 
         The distribution spec may omit its radius, inheriting the top-level
-        one; when both are present they must agree.
+        one; when both are present they must agree.  Nothing is coerced: n
+        must be an int and every other value a number or array of numbers.
         """
         if not isinstance(spec, dict):
             raise DomainError("game config must be an object")
         for key in ("radius", "n", "costs", "distribution"):
             if key not in spec:
                 raise DomainError(f"game config missing {key!r}")
-        radius = float(spec["radius"])
+        radius, n = spec_number(spec["radius"], "radius"), spec["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(f"n must be an integer, got {n!r}")
         dist_spec = dict(spec["distribution"])
         dist_spec.setdefault("radius", radius)
-        if float(dist_spec["radius"]) != radius:
-            raise DomainError("config radius and distribution radius disagree")
         distribution = RadialDistribution.from_spec(dist_spec)
-        return cls(distribution=distribution, n=int(spec["n"]), costs=tuple(spec["costs"]))
+        if distribution.radius != radius:
+            raise DomainError("config radius and distribution radius disagree")
+        return cls(distribution=distribution, n=n, costs=spec_numbers(spec["costs"], "costs"))

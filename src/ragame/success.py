@@ -24,12 +24,14 @@ natural independent oracle against which this identity is tested.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .radial import RadialDistribution
 from .strategy import GameConfig, StrategyProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Rows per write in :meth:`SuccessCurve.write_csv`.
 _CSV_BLOCK = 4096
@@ -105,6 +107,7 @@ def success_probability(profile: StrategyProfile, cfg: GameConfig, i: int, d):
         if not 0 <= d <= cfg.radius:
             raise DomainError(f"distance {d!r} outside [0, {cfg.radius}]")
         return success_evaluator(profile, cfg, i)(float(d))
+    import numpy as np
     arr = np.asarray(d, dtype=float)
     if not np.all((arr >= 0) & (arr <= cfg.radius)):
         raise DomainError(f"distance {d!r} outside [0, {cfg.radius}]")
@@ -114,7 +117,7 @@ def success_probability(profile: StrategyProfile, cfg: GameConfig, i: int, d):
     return float(out) if arr.ndim == 0 else out
 
 
-def breakpoints(profile: StrategyProfile, i: int) -> np.ndarray:
+def breakpoints(profile: StrategyProfile, i: int) -> list[float]:
     """Sorted union of all opponents' interval endpoints.
 
     These are the only distances where the piecewise form of the success
@@ -126,7 +129,7 @@ def breakpoints(profile: StrategyProfile, i: int) -> np.ndarray:
         for a, b in s.intervals:
             pts.add(a)
             pts.add(b)
-    return np.array(sorted(pts))
+    return sorted(pts)
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,7 @@ class SuccessCurve:
     breakpoints: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         if np.any(self.values < 0) or np.any(self.values > 1):
             raise DomainError("success values escape [0, 1]")
         if np.any(np.diff(self.values) > 0):
@@ -165,11 +169,12 @@ def success_curve(
     Inserting the opponents' interval endpoints guarantees the piecewise
     structure is captured regardless of the grid resolution.
     """
+    import numpy as np
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     _check(profile, cfg)
     profile.check_index(i)
-    bps = breakpoints(profile, i)
+    bps = np.array(breakpoints(profile, i))
     grid = np.unique(np.concatenate([np.linspace(0.0, cfg.radius, grid_size), bps]))
     values = success_probability(profile, cfg, i, grid)
     return SuccessCurve(node_index=i, grid=grid, values=values, breakpoints=bps)

@@ -8,6 +8,14 @@ import numpy as np
 from ragame import success_curve
 
 
+def density_sup(dist) -> float:
+    """Supremum of the law's density: 2/R on the disk, else the largest knot slope."""
+    if dist.kind == "uniform-disk":
+        return 2.0 / dist.radius
+    slopes = np.diff(dist.knots_cdf) / np.diff(dist.knots_d)
+    return float(slopes.max())
+
+
 def structure_checks(profile, cfg, i, grid_points=1000):
     """Assert the curve-shape properties of node i's success probability.
 
@@ -44,5 +52,5 @@ def structure_checks(profile, cfg, i, grid_points=1000):
     if dist.strictly_increasing:
         assert np.all(np.diff(g)[active] < 0.0)
 
-    lk = (cfg.n - 1) * dist.density_sup
+    lk = (cfg.n - 1) * density_sup(dist)
     assert np.all(np.abs(np.diff(g)) <= lk * np.diff(grid) + 1e-12)

@@ -156,9 +156,21 @@ GOOD_CONFIG = {"radius": 12.0, "n": 2, "costs": [1.0, 1.0], "distribution": {"ki
         (None, {"intervals": [[1]]}, None),
         (None, None, ["--n-list", "2,x"]),
         (None, None, ["--c-count", "-1"]),
+        # values that int(), float() or iteration would silently coerce
+        ({"n": 2.7}, None, None),
+        ({"n": True}, None, None),
+        ({"costs": "31"}, None, None),
+        ({"radius": "12"}, None, None),
+        ({"distribution": {"kind": "piecewise-linear-cdf", "knots": [[0, 0], ["6", "0.5"], [12, 1]]}},
+         None, None),
+        (None, {"threshold": "6"}, None),
+        (None, {"intervals": [[1, 2, 3]]}, None),
+        ({"costs": [10**400, 1.0]}, None, None),  # too large for a float
     ],
     ids=["n-nan", "costs-scalar", "radius-str", "distribution-int", "knot-str",
-         "threshold-str", "intervals-int", "interval-short", "n-list-str", "c-count-negative"],
+         "threshold-str", "intervals-int", "interval-short", "n-list-str", "c-count-negative",
+         "n-float", "n-bool", "costs-str", "radius-numeric-str", "knot-numeric-str",
+         "threshold-numeric-str", "interval-long", "costs-huge-int"],
 )
 def test_wrongly_typed_specs_exit_3(capsys, tmp_path, config, profile_entry, sweep):
     config_path, profile_path = tmp_path / "config.json", tmp_path / "profile.json"

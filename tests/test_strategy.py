@@ -129,3 +129,20 @@ def test_game_config_spec_round_trip():
     assert GameConfig.from_spec(short) == cfg
     with pytest.raises(DomainError):
         GameConfig.from_spec({**spec, "distribution": {"kind": "uniform-disk", "radius": 10.0}})
+
+
+def test_piecewise_laws_compare_and_hash():
+    knots = [[0.0, 0.0], [3.0, 0.1], [12.0, 1.0]]
+    law = RadialDistribution.piecewise_linear_cdf(R, knots)
+    same = RadialDistribution.piecewise_linear_cdf(R, np.array(knots))  # array knots, as generators pass
+    other = RadialDistribution.piecewise_linear_cdf(R, [[0.0, 0.0], [3.0, 0.2], [12.0, 1.0]])
+    assert law == same and law != other and law != DISK
+    assert hash(law) == hash(same)
+    cfg = GameConfig(distribution=law, n=2, costs=(1.0, 3.0))
+    twin = GameConfig.from_spec(
+        {"radius": R, "n": 2, "costs": [1, 3],
+         "distribution": {"kind": "piecewise-linear-cdf", "knots": knots}}
+    )
+    assert cfg == twin and hash(cfg) == hash(twin)
+    assert cfg != GameConfig(distribution=other, n=2, costs=(1.0, 3.0))
+    assert len({cfg, twin, GameConfig(distribution=DISK, n=2, costs=(1.0, 3.0))}) == 2

@@ -29,6 +29,7 @@ from tests.oracles import (
     uniform_disk_cdf,
     union_measure,
 )
+from tests.properties import density_sup
 
 R = 12.0
 DISK = RadialDistribution.uniform_disk(R)
@@ -199,7 +200,7 @@ def test_power_law_modulus_reported_not_asserted():
         cfg = GameConfig(distribution=DISK, n=n, costs=(1.0,) * n)
         profile = random_profile(rng, n, R)
         curve = success_curve(profile, cfg, 0, grid_size=500)
-        K = DISK.density_sup
+        K = density_sup(DISK)
         eps = np.diff(curve.grid)
         keep = eps > 0
         bound = (eps[keep] * K) ** (cfg.n - 1)
