@@ -15,21 +15,14 @@ distance, back off beyond it.  Three regimes arise:
 * ``interior``        -- util first reaches zero at some t < R; transmit on
                          [0, t), back off on [t, R].
 
-The interior cut-off is the *first* zero of util.  Because util can be
-exactly flat at zero over whole intervals (wherever every opponent is
-silent), a plain sign-change bisection may land anywhere on the plateau; the
-solver instead brackets the first cell of the breakpoint partition of the
-success curve whose right edge has util <= 0, and bisects with the
-invariant util(lo) > 0 >= util(hi).  That invariant converges to
-inf{d : util(d) <= 0}, i.e. the left edge of any flat-at-zero stretch.
-
-The bracketing cell is found by binary search over the breakpoints, not by
-a left-to-right scan.  That relies on monotonicity: util is non-increasing,
-so the breakpoints with util <= 0 form a suffix of the sorted list, and
-the first of them is found with O(log n) evaluations instead of O(n).  In
-floating point the computed util is non-increasing wherever the computed
-CDF is non-decreasing (see the ``success`` module for the one-ulp
-exception of piecewise-linear laws).
+The interior cut-off is the *first* zero of util, inf{d : util(d) <= 0}:
+util can be flat at zero over whole intervals, where no opponent transmits,
+so not just any zero will do.  As util is non-increasing, {util <= 0} is one
+interval reaching to R, and its left edge is the one float at which util
+turns non-positive; :func:`first_zero`, which bisects with the invariant
+util(lo) > 0 >= util(hi), finds that float from any bracket that holds it.
+The computed util is non-increasing too (see ``success``), so the same
+holds in floating point.
 
 One region needs the zero-tie tolerance rather than exact signs: beyond the
 last distance at which any opponent still transmits, util is bit-exactly
@@ -42,11 +35,10 @@ at zero and the cut-off resolves to its left edge.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .strategy import GameConfig, StrategyProfile
-from .success import breakpoints, success_evaluator
+from .success import success_evaluator
 
 INTERIOR = "interior"
 FULL_TRANSMIT = "full-transmit"
@@ -107,24 +99,11 @@ def best_response_threshold(
     if util_end > VALUE_TOL:
         return BestResponseResult(radius, FULL_TRANSMIT, util_end)
 
-    # util is bit-exactly constant (= util_end, now within VALUE_TOL of zero)
-    # beyond the last distance at which any opponent transmits.
-    silent_tail_start = max(
-        (s.intervals[-1][1] for s in profile.opponents(i) if s.intervals), default=0.0
-    )
-
-    # Search the breakpoint partition up to the terminal region for the first
-    # cell whose right edge is non-positive; util > 0 on every cell before it.
-    edges = [b for b in breakpoints(profile, i) if 0.0 < b <= silent_tail_start]
-    k = bisect_left(edges, True, key=lambda edge: util(edge) <= 0.0)
-    if k == len(edges):
-        # util > 0 strictly until the terminal region, where it is constant
-        # and tied at zero within VALUE_TOL: back off from the region's left
-        # edge, or only at R itself if opponents transmit all the way out.
-        if silent_tail_start == radius:
-            return BestResponseResult(radius, BOUNDARY_ZERO, util_end)
-        return BestResponseResult(silent_tail_start, INTERIOR, util_end)
-
-    t = first_zero(util, edges[k - 1] if k else 0.0, edges[k])
+    # No opponent transmits beyond silent_tail_start, so util is bit-exactly
+    # util_end there and the first zero lies in [0, silent_tail_start].  A
+    # positive util_end is a tie at zero: back off from that region's left
+    # edge, which is R itself if opponents transmit all the way out.
+    silent_tail_start = max((s.cutoff for s in profile.opponents(i)), default=0.0)
+    t = silent_tail_start if util_end > 0.0 else first_zero(util, 0.0, silent_tail_start)
     # At t == R util is positive on every representable d < R: boundary case.
     return BestResponseResult(t, BOUNDARY_ZERO if t == radius else INTERIOR, util(t))

@@ -300,7 +300,11 @@ def solve_symmetric_uniform(n: int, c: float, radius: float) -> float:
         raise DomainError(f"cost must be in (0, inf), got {c!r}")
     if not 0 < radius < math.inf:
         raise DomainError(f"radius must be positive and finite, got {radius!r}")
-    return radius * math.sqrt(1.0 - cost_target(c) ** (1.0 / (n - 1)))
+    try:
+        exponent = 1.0 / (n - 1)
+    except OverflowError:
+        raise DomainError("node count too large for a float") from None
+    return radius * math.sqrt(1.0 - cost_target(c) ** exponent)
 
 
 def solve_sequential(cfg: GameConfig, tol: float | None = None) -> EquilibriumReport:
@@ -371,26 +375,24 @@ def best_response_iteration(cfg: GameConfig) -> ThresholdProfile:
     sequential solver, used as a cross-check oracle.
 
     Starts with every cut-off at R and iterates
-    t <- t + 0.5 * (best_response(t) - t) until the fixed-point residual
-    max_i |best_response_i - t_i| is at most 1e-9 * radius; raises
-    NumericError after 10,000 rounds without that.
+    t <- t + 0.5 * (best_response(t) - t) until every node has
+    |best_response_i - t_i| <= 1e-9 * max(best_response_i, t_i), at any
+    scale; raises NumericError after 10,000 rounds without that.
     """
     radius = cfg.radius
-    tol = 1e-9 * radius
     thresholds = [radius] * cfg.n
     for _ in range(10_000):
         profile = ThresholdProfile(tuple(thresholds)).to_strategy_profile(radius)
         results = [best_response_threshold(profile, cfg, i) for i in range(cfg.n)]
         responses = [r.threshold for r in results]
-        residual = max(abs(r - t) for r, t in zip(responses, thresholds))
-        if residual <= tol:
+        if all(abs(r - t) <= 1e-9 * max(r, t) for r, t in zip(responses, thresholds)):
             full = any(
                 r.boundary_case == FULL_TRANSMIT for r in results if r.threshold == radius
             )
             return ThresholdProfile(tuple(responses), last_class_full=full)
         thresholds = [t + 0.5 * (r - t) for r, t in zip(responses, thresholds)]
     raise NumericError(
-        f"best-response iteration did not reach residual {tol!r} within 10000 rounds"
+        "best-response iteration did not reach relative residual 1e-9 within 10000 rounds"
     )
 
 

@@ -146,9 +146,11 @@ class RadialDistribution:
             return ys[-1]
         if j < 0:
             j = 0
-        # same interpolation arithmetic as np.interp
+        # np.interp's arithmetic, capped at the next knot's value: rounding
+        # can lift it one ulp above F(knot) just below a knot, and the capped
+        # CDF is non-decreasing everywhere
         slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
-        return slope * (d - xs[j]) + ys[j]
+        return min(slope * (d - xs[j]) + ys[j], ys[j + 1])
 
     def cdf(self, d):
         """F(d), the probability of a distance no larger than d.
@@ -163,8 +165,12 @@ class RadialDistribution:
         arr = np.asarray(d, dtype=float)
         if not np.all((arr >= 0) & (arr <= self.radius)):
             raise DomainError(f"distance {d!r} outside [0, {self.radius}]")
-        disk = self.kind == UNIFORM_DISK
-        out = (arr / self.radius) ** 2 if disk else np.interp(arr, self.knots_d, self.knots_cdf)
+        if self.kind == UNIFORM_DISK:
+            out = (arr / self.radius) ** 2
+        else:  # capped at the next knot's value, as in cdf_scalar
+            xs, ys = self.knots_d, self.knots_cdf
+            cap = np.array(ys + ys[-1:])[np.searchsorted(xs, arr, side="right")]
+            out = np.minimum(np.interp(arr, xs, ys), cap)
         return float(out) if arr.ndim == 0 else out
 
     def interval_measure(self, a: float, b: float) -> float:

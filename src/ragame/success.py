@@ -13,12 +13,10 @@ the complement of (j's transmit set intersected with [0, d]), so
     q_j(d) = 1 - mu(transmit_j  intersect  [0, d]),
 
 which is the form computed here: a sum of clamped CDF differences.  It is
-exact, and in floating point it is non-increasing in d term by term
-wherever the computed CDF is non-decreasing.  That holds everywhere for the
-uniform disk, but a piecewise-linear CDF (``cdf_scalar`` and ``np.interp``
-alike) can step down by one ulp just below a knot, and the success value
-then rises by about an ulp there.  The measure-theoretic union form is the
-natural independent oracle against which this identity is tested.
+exact, and in floating point it is non-increasing in d term by term,
+because the computed CDF is non-decreasing for both laws.  The
+measure-theoretic union form is the natural independent oracle against
+which this identity is tested.
 """
 
 from __future__ import annotations

@@ -70,7 +70,6 @@ def random_config(rng, n, radius) -> GameConfig:
     )
 
 
-
 def nudged_threshold_profile(rng, cutoffs, radius, max_ulps=3) -> StrategyProfile:
     """Cut-off profile with each given cut-off moved by up to max_ulps ulps."""
     moved = []
@@ -86,3 +85,42 @@ def random_near_tie_profile(rng, n, radius) -> StrategyProfile:
     """Cut-off profile whose cut-offs sit within a few ulps of one another."""
     base = float(rng.uniform(0.2 * radius, 0.9 * radius))
     return nudged_threshold_profile(rng, [base] * n, radius)
+
+
+#: Piecewise laws on [0, 12] whose interpolated CDF, without the cap at the
+#: next knot's value, would sit one ulp above F(knot) one float below their
+#: second interior knot.
+STEP_LAWS = tuple(
+    RadialDistribution.piecewise_linear_cdf(12.0, knots)
+    for knots in (
+        [[0.0, 0.0], [1.509399679793486, 0.15426757470106794],
+         [10.366272653055105, 0.7151474161140755], [12.0, 1.0]],
+        [[0.0, 0.0], [0.6376568452365655, 0.2241355289375106],
+         [6.816536601676825, 0.7521534574954655], [12.0, 1.0]],
+        [[0.0, 0.0], [1.1144942272874407, 0.33675547684410023],
+         [3.742966679191773, 0.7098987077509639], [12.0, 1.0]],
+        [[0.0, 0.0], [2.1813623564706854, 0.062271451252217946],
+         [7.004301470925062, 0.8313244835349772], [12.0, 1.0]],
+    )
+)
+
+
+def random_knot_tie_game(rng, n, dist) -> tuple[GameConfig, StrategyProfile]:
+    """Game on a piecewise law whose utility zeros sit on CDF knots.
+
+    Each opponent cut-off is a knot or R, and each node's cost makes
+    c/(1+c) its success at an interior knot, all moved by up to 2 ulps.
+    """
+    radius, knots = dist.radius, dist.knots_d
+    picks = [knots[k] for k in rng.integers(1, len(knots), n)]
+    picks += [knots[k] for k in rng.integers(1, len(knots) - 1, n)]
+    moved = [s.cutoff for s in nudged_threshold_profile(rng, picks, radius, max_ulps=2).strategies]
+    profile = StrategyProfile(tuple(Strategy.threshold(t, radius) for t in moved[:n]))
+    costs = []
+    for i, d in enumerate(moved[n:]):
+        g = 1.0
+        for j, t in enumerate(moved[:n]):
+            if j != i:
+                g *= 1.0 - dist.cdf_scalar(min(d, t))
+        costs.append(g / (1.0 - g))
+    return GameConfig(distribution=dist, n=n, costs=tuple(costs)), profile

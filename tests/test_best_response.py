@@ -17,10 +17,13 @@ from ragame import (
 )
 
 from tests.generators import (
+    STEP_LAWS,
     nudged_threshold_profile,
     random_config,
     random_costs,
     random_distribution,
+    random_increasing_cdf,
+    random_knot_tie_game,
     random_near_tie_profile,
     random_profile,
     random_threshold_profile,
@@ -187,8 +190,9 @@ def test_explicit_tol_and_nonconvergence():
 
 
 def _reference_games(seed, count):
-    """Seeded (cfg, profile) pairs: cut-off, band and near-tie profiles, and
-    solved equilibria moved by a few ulps, on disk and piecewise laws."""
+    """Seeded (cfg, profile) pairs: cut-off, band and near-tie profiles,
+    solved equilibria moved by a few ulps, on disk and piecewise laws, and
+    piecewise games whose utility zeros sit on CDF knots."""
     rng = np.random.default_rng(seed)
     for trial in range(count):
         n = int(rng.integers(2, 9))
@@ -210,6 +214,10 @@ def _reference_games(seed, count):
             yield cfg, profile
             continue
         yield GameConfig(distribution=dist, n=n, costs=random_costs(rng, n)), profile
+    # Half of these laws would, uncapped, step down one ulp below a knot.
+    for trial in range(count // 4):
+        dist = STEP_LAWS[trial // 2 % len(STEP_LAWS)] if trial % 2 else random_increasing_cdf(rng, R)
+        yield random_knot_tie_game(rng, int(rng.integers(2, 9)), dist)
 
 
 def test_matches_linear_scan_reference_bit_for_bit():
@@ -217,7 +225,14 @@ def test_matches_linear_scan_reference_bit_for_bit():
         cfg_with_cost(0.25 / 0.75),
         vs_opponent(Strategy(radius=R, intervals=((6.0, 12.0),))),
     )
-    for cfg, profile in [boundary_zero, *_reference_games(seed=41, count=120)]:
+    # Every opponent silent and a cost so large that (1 + c) - c rounds to 0:
+    # util is 0 on all of [0, R], so its first zero is 0 itself.
+    all_silent = (
+        cfg_with_cost(1e16),
+        StrategyProfile((Strategy.never(R), Strategy.never(R))),
+    )
+    games = [boundary_zero, all_silent, *_reference_games(seed=41, count=120)]
+    for cfg, profile in games:
         transmit_sets = [s.intervals for s in profile.strategies]
         for i in range(cfg.n):
             result = best_response_threshold(profile, cfg, i)

@@ -122,6 +122,7 @@ def test_bad_tolerance_exits_3(capsys):
         ["cutoff-sweep", "--n-list", "2", "--radius", "nan"],
         ["cutoff-sweep", "--n-list", "2", "--c-list", "nan,1.0"],
         ["cutoff-sweep", "--n-list", "2", "--c-list", "inf"],
+        ["cutoff-sweep", "--n-list", "1" + "0" * 400, "--c-list", "1"],  # n - 1 overflows a float
         ["equilibrium", "--config", "NAN_KNOTS"],
         ["success-curve", "--config", "NAN_KNOTS", "--profile", INNER_HALF, "--node", "0"],
     ],

@@ -66,6 +66,8 @@ def test_symmetric_closed_form_monotone_and_limits():
     with pytest.raises(DomainError):
         solve_symmetric_uniform(1, 1.0, R)
     with pytest.raises(DomainError):
+        solve_symmetric_uniform(10**400, 1.0, R)  # n - 1 has no float value
+    with pytest.raises(DomainError):
         solve_symmetric_uniform(2, 0.0, R)
     for radius in (0.0, float("nan"), float("inf")):
         with pytest.raises(DomainError):
@@ -271,6 +273,19 @@ def test_damped_iteration_agrees_with_sequential():
         seq = solve_sequential(cfg).profile.thresholds
         itr = best_response_iteration(cfg).thresholds
         assert max(abs(a - b) for a, b in zip(seq, itr)) <= 1e-6 * R
+
+
+@pytest.mark.parametrize("knot", [1e-12, 1e-100])
+def test_damped_iteration_agrees_on_tiny_cutoffs(knot):
+    # Every cut-off but R lies far below 1e-9 * R, so only a stop rule
+    # relative to each cut-off tells a fixed point from a near miss.
+    law = RadialDistribution.piecewise_linear_cdf(R, [[0.0, 0.0], [knot, 0.9], [R, 1.0]])
+    for costs in ((3.0, 1.0), (1.0, 2.0, 3.0), (1.0, 1.0, 3.0, 3.0)):
+        cfg = GameConfig(law, len(costs), costs)
+        seq = solve_sequential(cfg).profile.thresholds
+        itr = best_response_iteration(cfg)
+        assert verify_nash(itr, cfg).is_nash, costs
+        assert all(math.isclose(a, b, rel_tol=1e-6) for a, b in zip(seq, itr.thresholds)), costs
 
 
 def test_report_serializes_to_json():

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from ragame import DomainError, RadialDistribution
 
-from tests.generators import random_increasing_cdf
+from tests.generators import STEP_LAWS, random_increasing_cdf
 from tests.properties import density_sup
 
 
@@ -48,6 +50,18 @@ def test_quantile_cdf_round_trip():
         assert dist.strictly_increasing
         back = dist.cdf(dist.quantile(grid))
         assert np.max(np.abs(back - grid)) <= 1e-12
+
+
+def test_piecewise_cdf_is_monotone_at_knots():
+    # Interpolation can round one ulp above the next knot's CDF value just
+    # below that knot; the scalar and array paths cap it there alike.
+    rng = np.random.default_rng(17)
+    laws = [*STEP_LAWS, *(random_increasing_cdf(rng, 12.0) for _ in range(200))]
+    for dist in laws:
+        pts = sorted({x for k in dist.knots_d for x in (math.nextafter(k, 0.0), k)})
+        values = [dist.cdf_scalar(x) for x in pts]
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        assert dist.cdf(np.array(pts)).tolist() == values
 
 
 def test_interval_additivity():
