@@ -8,7 +8,8 @@ a continuous, non-increasing function starting at util(0) = 1.  A best
 response is therefore always a cut-off rule: transmit below some critical
 distance, back off beyond it.  Three regimes arise:
 
-* ``full-transmit``   -- util stays positive through R; transmit everywhere.
+* ``full-transmit``   -- util stays positive through R, as it does whenever
+                         every opponent is silent; transmit everywhere.
 * ``boundary-zero``   -- util is positive on [0, R) and zero at R; the tie
                          rule (back off at zero utility) applies only at the
                          single point R.
@@ -95,15 +96,16 @@ def best_response_threshold(
     def util(d: float) -> float:
         return (1.0 + c) * success(d) - c
 
+    # Beyond silent_tail_start no opponent transmits, so util is bit-exactly
+    # util_end; with every opponent silent, success is exactly 1 at any cost.
     util_end = util(radius)
-    if util_end > VALUE_TOL:
+    silent_tail_start = max((s.cutoff for s in profile.opponents(i)), default=0.0)
+    if util_end > VALUE_TOL or silent_tail_start == 0.0:
         return BestResponseResult(radius, FULL_TRANSMIT, util_end)
 
-    # No opponent transmits beyond silent_tail_start, so util is bit-exactly
-    # util_end there and the first zero lies in [0, silent_tail_start].  A
-    # positive util_end is a tie at zero: back off from that region's left
-    # edge, which is R itself if opponents transmit all the way out.
-    silent_tail_start = max((s.cutoff for s in profile.opponents(i)), default=0.0)
+    # The first zero lies in [0, silent_tail_start].  A positive util_end is
+    # a tie at zero: back off from that region's left edge, which is R
+    # itself if opponents transmit all the way out.
     t = silent_tail_start if util_end > 0.0 else first_zero(util, 0.0, silent_tail_start)
     # At t == R util is positive on every representable d < R: boundary case.
     return BestResponseResult(t, BOUNDARY_ZERO if t == radius else INTERIOR, util(t))

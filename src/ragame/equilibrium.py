@@ -21,15 +21,17 @@ is zero whenever e_i >= 1, so a root always brackets.
 The only class with e_i = 0 is a cheapest class of size one.  Its members'
 success is constant beyond t_{i-1} and equal to the previous class target,
 which strictly exceeds its own target, so its transmit utility stays
-positive through R: the node transmits everywhere and the profile carries
-``last_class_full``.  By the same token at most one node ends at R.
+positive through R: the node transmits everywhere, and the report's
+``last_class_full`` says so.  By the same token at most one node ends at R.
 
 Verification is independent of the solver: each node's best response is
 recomputed from scratch (once per distinct strategy and cost, since nodes
 alike in both face the same opponents) and compared against the profile,
 and the structural conditions (at most one cut-off at R; success at
 interior cut-offs equal to cost/(1+cost); equal costs giving equal
-cut-offs) are checked with explicit residuals.
+cut-offs) are checked with explicit residuals.  The report keeps only what
+the verifier measured, and every verdict, the class table and
+``last_class_full`` are derived from those measurements.
 """
 
 from __future__ import annotations
@@ -86,7 +88,6 @@ class ThresholdProfile:
     """One cut-off distance per node; the equilibrium object."""
 
     thresholds: tuple[float, ...]
-    last_class_full: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "thresholds", tuple(float(t) for t in self.thresholds))
@@ -164,18 +165,11 @@ class NodeCheck:
 
 
 #: A check's code holds its boundary case, as an index into _CASES, in bits
-#: 0-1, then the _MATCHED and _AT_R bits, then its cost class rank from bit
-#: _RANK_SHIFT up.
+#: 0-1, and then the _MATCHED bit.
 _CASES = (INTERIOR, FULL_TRANSMIT, BOUNDARY_ZERO)
 _MATCHED = 1 << 2
-_AT_R = 1 << 3
-_RANK_SHIFT = 4
-#: Bits of a report's flags: two verdicts' outcomes, whether the profile is
-#: a cut-off profile, and then its ``last_class_full``.
-_TARGETS_PASSED = 1 << 0
-_EQUAL_PASSED = 1 << 1
-_CUTOFF_PROFILE = 1 << 2
-_LAST_CLASS_FULL = 1 << 3
+#: A report stores these doubles per check, after its first three values.
+_COST, _CUTOFF, _BEST_RESPONSE, _SYM_DIFF, _SUCCESS, _RESIDUAL = range(6)
 
 _TARGETS_DETAIL = (
     "max |success(cutoff) - cost/(1+cost)| over nodes (shortfall only for a node at R)"
@@ -194,43 +188,53 @@ def _packed(values) -> bytes | array:
 
 @dataclass(frozen=True, slots=True)
 class EquilibriumReport:
-    """Solved or candidate profile plus all verification verdicts.
+    """Verification of a candidate profile, as :func:`verify_nash` measured it.
 
-    Callers may keep reports by the thousand, so a report is stored packed:
+    Callers may keep reports by the thousand, so a report stores only the
+    measurements, packed:
 
-    * ``_values``: the three verdict residuals, then cut-off, best response
-      and symmetric difference of each distinct check, then cost, cut-off
-      and success value of each cost class;
-    * ``_codes``: one integer per check holding its boundary case, whether
-      it matched, whether its cut-off is at R, and its cost class rank;
-    * ``_check_index``: per node, the index of its check.
+    * ``_values``: the equal-costs residual, the radius and tol, then six
+      doubles per distinct check: cost, cut-off, best response, symmetric
+      difference, success at the cut-off, and the success-target residual;
+    * ``_codes``: per check, its boundary case and whether it matched;
+    * ``_check_index``: per node, the index of its check;
+    * ``_cutoff_profile``: whether every strategy is a cut-off rule.
 
-    ``classes``, ``verdicts``, ``nodes`` and ``profile`` are built from
-    these on access.  ``nodes`` builds each distinct :class:`NodeCheck` on
-    first access and keeps it, so alike nodes share one object.
+    ``is_nash``, ``verdicts``, ``classes``, ``last_class_full``, ``nodes``
+    and ``profile`` are derived from these on access.  A node is at R when
+    its cut-off is at least R - tol.  ``nodes`` builds each distinct
+    :class:`NodeCheck` on first access and keeps it, so alike nodes share
+    one object.
     """
 
     _values: array
-    _codes: bytes | array
+    _codes: bytes
     _check_index: bytes | array
-    _flags: int
-    is_nash: bool
+    _cutoff_profile: bool
     _checks: tuple[NodeCheck, ...] | None = field(default=None, repr=False, compare=False)
+
+    def _column(self, j: int) -> array:
+        """Field j of every check, in check order."""
+        return self._values[3 + j :: 6]
+
+    def _at_r(self) -> list[bool]:
+        """Per check, whether its cut-off is at R."""
+        radius, tol = self._values[1:3]
+        return [t >= radius - tol for t in self._column(_CUTOFF)]
+
+    @property
+    def is_nash(self) -> bool:
+        """Every node's strategy matches its best response."""
+        return all(code & _MATCHED for code in self._codes)
 
     @property
     def nodes(self) -> tuple[NodeCheck, ...]:
         """One check per node, in node order; alike nodes share one object."""
         if self._checks is None:
-            v = self._values
+            columns = (self._column(j) for j in (_CUTOFF, _BEST_RESPONSE, _SYM_DIFF))
             checks = tuple(
-                NodeCheck(
-                    cutoff=v[3 * k + 3],
-                    best_response=v[3 * k + 4],
-                    boundary_case=_CASES[code & 3],
-                    symmetric_difference=v[3 * k + 5],
-                    matched=bool(code & _MATCHED),
-                )
-                for k, code in enumerate(self._codes)
+                NodeCheck(cutoff, best, _CASES[code & 3], sym_diff, bool(code & _MATCHED))
+                for code, cutoff, best, sym_diff in zip(self._codes, *columns)
             )
             object.__setattr__(self, "_checks", checks)
         return tuple(self._checks[k] for k in self._check_index)
@@ -238,50 +242,51 @@ class EquilibriumReport:
     @property
     def profile(self) -> ThresholdProfile | None:
         """The checked profile as cut-offs, or None if it is not a cut-off profile."""
-        if not self._flags & _CUTOFF_PROFILE:
+        if not self._cutoff_profile:
             return None
-        cutoffs = tuple(self._values[3 * k + 3] for k in self._check_index)
-        return ThresholdProfile(cutoffs, last_class_full=bool(self._flags & _LAST_CLASS_FULL))
+        cutoffs = self._column(_CUTOFF)
+        return ThresholdProfile(tuple(cutoffs[k] for k in self._check_index))
+
+    @property
+    def last_class_full(self) -> bool | None:
+        """Whether some node is at R and every node at R best-responds by
+        transmitting everywhere; None if the profile is not a cut-off profile."""
+        if not self._cutoff_profile:
+            return None
+        cases = [_CASES[code & 3] for code, at_r in zip(self._codes, self._at_r()) if at_r]
+        return bool(cases) and all(case == FULL_TRANSMIT for case in cases)
 
     @property
     def classes(self) -> tuple[ClassSolution, ...]:
-        """One solution per cost class, costliest first, at the profile's cut-offs."""
-        base = 3 + 3 * len(self._codes)
-        members = [[] for _ in range((len(self._values) - base) // 3)]
-        for i, k in enumerate(self._check_index):
-            members[self._codes[k] >> _RANK_SHIFT].append(i)
-        v = self._values
+        """One solution per cost class, costliest first, with the cut-off and
+        success of the check of the class's first node."""
+        index = self._check_index
+        costs, cutoffs, success = (self._column(j) for j in (_COST, _CUTOFF, _SUCCESS))
         return tuple(
-            ClassSolution(
-                cost=v[base + 3 * r],
-                members=tuple(m),
-                threshold=v[base + 3 * r + 1],
-                success_value=v[base + 3 * r + 2],
-            )
-            for r, m in enumerate(members)
+            ClassSolution(cls.cost, cls.members, cutoffs[k], success[k])
+            for cls in cost_classes(costs[k] for k in index)
+            for k in (index[cls.members[0]],)
         )
 
     @property
     def verdicts(self) -> dict[str, Verdict]:
-        at_r = [i for i, k in enumerate(self._check_index) if self._codes[k] & _AT_R]
-        single, targets, equal = self._values[:3]
+        check_at_r = self._at_r()
+        at_r = [i for i, k in enumerate(self._check_index) if check_at_r[k]]
+        equal, _, tol = self._values[:3]
+        worst = max(self._column(_RESIDUAL))
         return {
             "single_full_transmitter": Verdict(
-                len(at_r) <= 1, single, f"nodes with cut-off at R: {at_r}"
+                len(at_r) <= 1, float(max(0, len(at_r) - 1)), f"nodes with cut-off at R: {at_r}"
             ),
-            "interior_success_targets": Verdict(
-                bool(self._flags & _TARGETS_PASSED), targets, _TARGETS_DETAIL
-            ),
-            "equal_costs_equal_cutoffs": Verdict(
-                bool(self._flags & _EQUAL_PASSED), equal, _EQUAL_DETAIL
-            ),
+            "interior_success_targets": Verdict(worst <= RESIDUAL_TOL, worst, _TARGETS_DETAIL),
+            "equal_costs_equal_cutoffs": Verdict(equal <= tol, equal, _EQUAL_DETAIL),
         }
 
     def as_dict(self) -> dict:
         profile = self.profile
         return {
             "thresholds": list(profile.thresholds) if profile else None,
-            "last_class_full": profile.last_class_full if profile else None,
+            "last_class_full": self.last_class_full,
             "classes": [c.as_dict() for c in self.classes],
             "nodes": [{"index": i, **n.as_dict()} for i, n in enumerate(self.nodes)],
             "verdicts": {k: v.as_dict() for k, v in self.verdicts.items()},
@@ -325,7 +330,6 @@ def solve_sequential(cfg: GameConfig, tol: float | None = None) -> EquilibriumRe
     prefix = 1.0  # prod over solved classes of (1 - F(t_l))^{k_l}
     prev_t = 0.0
     thresholds = [0.0] * cfg.n
-    last_class_full = False
     for cls in classes:
         k = len(cls.members)
         remaining -= k
@@ -341,16 +345,14 @@ def solve_sequential(cfg: GameConfig, tol: float | None = None) -> EquilibriumRe
                     f"{target!r}; no cut-off profile of this form exists"
                 )
             t = radius
-            last_class_full = True
         else:
             t = _bisect_class_equation(dist, prefix, exponent, target, prev_t, radius)
         for m in cls.members:
             thresholds[m] = t
-        prefix *= (1.0 - dist.cdf(t)) ** k
+        prefix *= (1.0 - dist.cdf_scalar(t)) ** k
         prev_t = t
 
-    profile = ThresholdProfile(tuple(thresholds), last_class_full=last_class_full)
-    return verify_nash(profile, cfg, tol=tol)
+    return verify_nash(ThresholdProfile(tuple(thresholds)), cfg, tol=tol)
 
 
 def _bisect_class_equation(dist, prefix, exponent, target, lo, hi):
@@ -361,7 +363,7 @@ def _bisect_class_equation(dist, prefix, exponent, target, lo, hi):
     """
 
     def value(t: float) -> float:
-        return prefix * (1.0 - dist.cdf(t)) ** exponent - target
+        return prefix * (1.0 - dist.cdf_scalar(t)) ** exponent - target
 
     if value(lo) <= 0:
         raise NumericError(
@@ -383,13 +385,9 @@ def best_response_iteration(cfg: GameConfig) -> ThresholdProfile:
     thresholds = [radius] * cfg.n
     for _ in range(10_000):
         profile = ThresholdProfile(tuple(thresholds)).to_strategy_profile(radius)
-        results = [best_response_threshold(profile, cfg, i) for i in range(cfg.n)]
-        responses = [r.threshold for r in results]
+        responses = [best_response_threshold(profile, cfg, i).threshold for i in range(cfg.n)]
         if all(abs(r - t) <= 1e-9 * max(r, t) for r, t in zip(responses, thresholds)):
-            full = any(
-                r.boundary_case == FULL_TRANSMIT for r in results if r.threshold == radius
-            )
-            return ThresholdProfile(tuple(responses), last_class_full=full)
+            return ThresholdProfile(tuple(responses))
         thresholds = [t + 0.5 * (r - t) for r, t in zip(responses, thresholds)]
     raise NumericError(
         "best-response iteration did not reach relative residual 1e-9 within 10000 rounds"
@@ -417,6 +415,8 @@ def verify_nash(
       within ``RESIDUAL_TOL`` of cost/(1+cost); a node at R instead needs
       success(R) >= its target;
     * ``equal_costs_equal_cutoffs`` -- equal-cost nodes share one cut-off.
+
+    The report derives these and ``last_class_full`` from the checks alone.
     """
     dist = cfg.distribution
     radius = cfg.radius
@@ -425,28 +425,22 @@ def verify_nash(
     if not 0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol!r}")
 
-    last_class_full = None
     if isinstance(profile, ThresholdProfile):
-        last_class_full = profile.last_class_full
-        strategy_profile = profile.to_strategy_profile(radius)
-    else:
-        strategy_profile = profile
-    _check(strategy_profile, cfg)
+        profile = profile.to_strategy_profile(radius)
+    _check(profile, cfg)
+    strategies = profile.strategies
 
     # A node's best response depends only on its own cost and the multiset
     # of its opponents' strategies, so nodes alike in both are checked once.
-    classes = cost_classes(cfg.costs)
-    rank_of = {cls.cost: cls.rank for cls in classes}
-    keys = list(zip(strategy_profile.strategies, cfg.costs))
+    keys = list(zip(strategies, cfg.costs))
     check_of: dict[tuple[Strategy, float], int] = {}
-    check_values, codes, residuals = [], [], []
-    success_at = []  # per check, (distance, success there) for its first node
+    values, codes = [], []
     for i, key in enumerate(keys):
         if key in check_of:
             continue
         check_of[key] = len(codes)
         s, cost = key
-        br = best_response_threshold(strategy_profile, cfg, i)
+        br = best_response_threshold(profile, cfg, i)
         cutoff = s.cutoff
         sym_diff = s.symmetric_difference_measure(Strategy.threshold(br.threshold, radius), dist)
         # Discrepancies invisible to the law (null sets) must pass, so the
@@ -454,74 +448,37 @@ def verify_nash(
         ball_lo = max(0.0, br.threshold - tol)
         ball_hi = min(radius, br.threshold + tol)
         measure_bar = dist.interval_measure(ball_lo, ball_hi) + 1e-15
-        at_r = cutoff >= radius - tol
-        check_values += (cutoff, br.threshold, sym_diff)
-        codes.append(
-            rank_of[cost] << _RANK_SHIFT
-            | (_AT_R if at_r else 0)
-            | (_MATCHED if sym_diff <= measure_bar else 0)
-            | _CASES.index(br.boundary_case)
-        )
+        codes.append((_MATCHED if sym_diff <= measure_bar else 0) | _CASES.index(br.boundary_case))
         # Success at an interior cut-off must sit at the break-even target;
         # a node stopping only at R needs success(R) >= target.
         target = cost_target(cost)
-        x = radius if at_r else cutoff
-        g = success_probability(strategy_profile, cfg, i, x)
-        residuals.append(max(0.0, target - g) if at_r else abs(g - target))
-        success_at.append((x, g))
+        g = success_probability(profile, cfg, i, cutoff)
+        if cutoff >= radius - tol:
+            g_end = g if cutoff == radius else success_probability(profile, cfg, i, radius)
+            residual = max(0.0, target - g_end)
+        else:
+            residual = abs(g - target)
+        values += (cost, cutoff, br.threshold, sym_diff, g, residual)
     check_index = _packed(check_of[key] for key in keys)
-    is_nash = all(code & _MATCHED for code in codes)
-    cutoffs = [check_values[3 * k] for k in check_index]
-
-    # At most one node may transmit all the way to R.
-    n_at_r = sum(1 for k in check_index if codes[k] & _AT_R)
-    worst = max(residuals)
 
     # Equal costs force equal cut-offs (and equivalent strategies).  A member
     # sharing the head's check has the head's strategy, and both
     # discrepancies are then exactly zero.
     eq_residual = 0.0
-    for cls in classes:
+    for cls in cost_classes(cfg.costs):
         head = cls.members[0]
         for m in cls.members[1:]:
             if check_index[m] == check_index[head]:
                 continue
-            eq_residual = max(eq_residual, abs(cutoffs[m] - cutoffs[head]))
             eq_residual = max(
                 eq_residual,
-                strategy_profile.strategies[m].symmetric_difference_measure(
-                    strategy_profile.strategies[head], dist
-                ),
+                abs(strategies[m].cutoff - strategies[head].cutoff),
+                strategies[m].symmetric_difference_measure(strategies[head], dist),
             )
 
-    # Class table, evaluated at the profile's own cut-offs.  A class head is
-    # the first node of its check, which has evaluated success at its cut-off
-    # already unless it was checked at R instead.
-    class_values = []
-    for cls in classes:
-        head = cls.members[0]
-        t = cutoffs[head]
-        x, g = success_at[check_index[head]]
-        if x != t:
-            g = success_probability(strategy_profile, cfg, head, t)
-        class_values += (cls.cost, t, g)
-
-    flags = (_TARGETS_PASSED if worst <= RESIDUAL_TOL else 0) | (
-        _EQUAL_PASSED if eq_residual <= tol else 0
-    )
-    if all(s.is_threshold for s in strategy_profile.strategies):
-        if last_class_full is None:
-            full = [code for code in codes if code & _AT_R]
-            last_class_full = bool(full) and all(
-                _CASES[code & 3] == FULL_TRANSMIT for code in full
-            )
-        flags |= _CUTOFF_PROFILE | (_LAST_CLASS_FULL if last_class_full else 0)
-
-    residual_values = (float(max(0, n_at_r - 1)), worst, eq_residual)
     return EquilibriumReport(
-        _values=array("d", (*residual_values, *check_values, *class_values)),
-        _codes=_packed(codes),
+        _values=array("d", (eq_residual, radius, tol, *values)),
+        _codes=bytes(codes),
         _check_index=check_index,
-        _flags=flags,
-        is_nash=is_nash,
+        _cutoff_profile=all(s.is_threshold for s in strategies),
     )

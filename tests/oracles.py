@@ -147,10 +147,10 @@ def best_response_linear_scan(transmit_sets, cdf, radius, i, cost, value_tol=1e-
         return (1.0 + cost) * success(d) - cost
 
     util_end = util(radius)
-    if util_end > value_tol:
-        return radius, "full-transmit", util_end
     opponents = [t for j, t in enumerate(transmit_sets) if j != i]
     tail = max((t[-1][1] for t in opponents if t), default=0.0)
+    if util_end > value_tol or tail == 0.0:
+        return radius, "full-transmit", util_end
     edges = sorted({x for t in opponents for pair in t for x in pair})
     lo, hi = 0.0, None
     for edge in edges:

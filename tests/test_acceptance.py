@@ -81,7 +81,7 @@ def test_criterion_2_heterogeneous_instances():
     ok21 = (
         abs(t[0] - 6.0) <= 1e-9
         and abs(t[1] - 12.0) <= 1e-9
-        and rep21.profile.last_class_full
+        and rep21.last_class_full
         and rep21.is_nash
     )
     g2_at_r = success_probability(rep21.profile.to_strategy_profile(R), cfg21, 1, R)

@@ -226,7 +226,7 @@ def test_matches_linear_scan_reference_bit_for_bit():
         vs_opponent(Strategy(radius=R, intervals=((6.0, 12.0),))),
     )
     # Every opponent silent and a cost so large that (1 + c) - c rounds to 0:
-    # util is 0 on all of [0, R], so its first zero is 0 itself.
+    # success is exactly 1, so the node still transmits everywhere.
     all_silent = (
         cfg_with_cost(1e16),
         StrategyProfile((Strategy.never(R), Strategy.never(R))),
@@ -241,3 +241,6 @@ def test_matches_linear_scan_reference_bit_for_bit():
             )
             assert (result.threshold, result.boundary_case, result.utility_at_threshold) == expected
             assert type(result.threshold) is float
+    cfg, profile = all_silent
+    result = best_response_threshold(profile, cfg, 0)
+    assert (result.threshold, result.boundary_case) == (R, FULL_TRANSMIT)

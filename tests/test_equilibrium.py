@@ -99,7 +99,7 @@ def test_sequential_two_costs():
     t1, t2 = report.profile.thresholds
     assert abs(t1 - 6.0) <= 1e-9          # (1 - F(t)) = 3/4
     assert t2 == R
-    assert report.profile.last_class_full
+    assert report.last_class_full
     assert report.is_nash
     # the full-transmit node clears its break-even bar at R
     profile = report.profile.to_strategy_profile(R)
@@ -115,7 +115,7 @@ def test_sequential_three_costs_with_repeat():
     assert abs(t[0] - 4.392304845413264) <= 1e-9  # (1 - F(t))^2 = 3/4
     assert t[0] == t[1]  # shared class threshold, exact
     assert t[2] == R
-    assert report.profile.last_class_full
+    assert report.last_class_full
     assert report.is_nash
     assert report.verdicts["interior_success_targets"].residual <= 1e-10
 
@@ -150,6 +150,12 @@ def test_verify_rejects_double_full_transmit():
     assert not report.verdicts["single_full_transmitter"].passed
     # the best response to an always-transmitter is the interior cut-off
     assert report.nodes[0].best_response == pytest.approx(8.485281374238571, abs=1e-9)
+    # against a silent opponent success is exactly 1, so silence is no best
+    # response even where a huge cost rounds (1 + c) - c to 0
+    silent = StrategyProfile((Strategy.never(R), Strategy.never(R)))
+    report = verify_nash(silent, uniform_cfg((1e16, 1e16)))
+    assert not report.is_nash
+    assert [node.best_response for node in report.nodes] == [R, R]
 
 
 def test_verify_rejects_perturbed_symmetric():
@@ -192,7 +198,16 @@ def test_verify_handles_general_interval_profiles():
     report = verify_nash(banded, cfg)
     assert not report.is_nash
     assert report.profile is None  # not a cut-off profile
+    assert report.last_class_full is None
     assert report.nodes[0].symmetric_difference > 0.01
+
+
+def test_last_class_full_is_derived_by_the_verifier():
+    cfg = uniform_cfg((3.0, 1.0))
+    cutoffs = ThresholdProfile((6.0, 12.0))
+    report = verify_nash(cutoffs, cfg)
+    assert report.last_class_full is True
+    assert report.as_dict() == verify_nash(cutoffs.to_strategy_profile(R), cfg).as_dict()
 
 
 def test_verify_checks_each_distinct_node_once(monkeypatch):
@@ -314,7 +329,6 @@ def _unpacked_as_dict(profile, cfg, tol=None, residual_tol=1e-8):
     shared checks and no packed storage."""
     dist, radius = cfg.distribution, cfg.radius
     tol = 1e-10 * radius if tol is None else tol
-    given_full = profile.last_class_full if isinstance(profile, ThresholdProfile) else None
     if isinstance(profile, ThresholdProfile):
         profile = profile.to_strategy_profile(radius)
     strategies = profile.strategies
@@ -356,12 +370,11 @@ def _unpacked_as_dict(profile, cfg, tol=None, residual_tol=1e-8):
         })
     threshold_profile = all(s.is_threshold for s in strategies)
     full = [node for node in nodes if node["index"] in at_r]
-    if given_full is None and threshold_profile:
-        given_full = bool(full) and all(node["boundary_case"] == FULL_TRANSMIT for node in full)
+    last_class_full = bool(full) and all(node["boundary_case"] == FULL_TRANSMIT for node in full)
     worst = max(residuals)
     return {
         "thresholds": [s.cutoff for s in strategies] if threshold_profile else None,
-        "last_class_full": given_full if threshold_profile else None,
+        "last_class_full": last_class_full if threshold_profile else None,
         "classes": classes,
         "nodes": nodes,
         "verdicts": {
