@@ -183,7 +183,8 @@ class RadialDistribution:
         """Inverse CDF; the unique d with F(d) = p.
 
         Requires a strictly increasing CDF so the inverse is well defined.
-        Accepts a scalar or an array of probabilities in [0, 1].
+        Accepts a scalar or an array of probabilities in [0, 1].  The result
+        is non-decreasing in p in floating point too.
         """
         import numpy as np
         arr = np.asarray(p, dtype=float)
@@ -194,5 +195,8 @@ class RadialDistribution:
         else:
             if not self.strictly_increasing:
                 raise DomainError("quantile needs a strictly increasing CDF")
-            out = np.interp(arr, self.knots_cdf, self.knots_d)
+            # capped at the next knot's distance, as cdf is at its value
+            xs, ys = self.knots_d, self.knots_cdf
+            cap = np.array(xs + xs[-1:])[np.searchsorted(ys, arr, side="right")]
+            out = np.minimum(np.interp(arr, ys, xs), cap)
         return float(out) if np.isscalar(p) or arr.ndim == 0 else out

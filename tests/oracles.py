@@ -10,11 +10,12 @@ by literally building each union and measuring it, which is the defining
 expression; the library computes the same quantity through the complement
 identity, and the tests compare the two.
 
-Two reference kernels, :func:`success_per_call` and
-:func:`best_response_linear_scan`, instead repeat the library's own
-arithmetic in its plainest form (two CDF calls per interval per
-evaluation, a left-to-right breakpoint scan), so that the library's faster
-paths can be held to bit-for-bit equality with them.
+Three reference kernels, :func:`success_per_call`,
+:func:`best_response_linear_scan` and :func:`closest_transmitter_distances`,
+instead repeat the library's own arithmetic in its plainest form (two CDF
+calls per interval per evaluation, a left-to-right breakpoint scan, every
+Monte Carlo draw mapped to a distance), so that the library's faster paths
+can be held to bit-for-bit equality with them.
 """
 
 from __future__ import annotations
@@ -173,3 +174,45 @@ def best_response_linear_scan(transmit_sets, cdf, radius, i, cost, value_tol=1e-
         else:
             hi = mid
     return hi, "boundary-zero" if hi == radius else "interior", util(hi)
+
+
+def closest_transmitter_distances(profile, cfg, i, rng, size):
+    """Per trial, the distance of the closest transmitting opponent (inf if none).
+
+    The Monte Carlo kernel in distance space: every draw goes through
+    ``quantile`` and every opponent's ``transmit_mask``.  The library masks
+    the draws in probability space instead and must agree bit for bit.
+    """
+    import numpy as np
+    opponents = profile.opponents(i)
+    u = rng.random((size, len(opponents)))
+    distances = cfg.distribution.quantile(u)
+    closest = np.full(size, np.inf)
+    for j, s in enumerate(opponents):
+        dj = distances[:, j]
+        transmitting = s.transmit_mask(dj)
+        closest = np.minimum(closest, np.where(transmitting, dj, np.inf))
+    return closest
+
+
+def monte_carlo_counts(profile, cfg, i, grid, samples, seed, chunk_size):
+    """Successes per grid distance and distance ties, chunk by chunk as the library.
+
+    Chunk c of ``chunk_size`` trials draws from the c-th child spawned from
+    ``seed``; a trial succeeds at d when no transmitting opponent is
+    strictly closer, and a tie is a drawn distance equal to d.
+    """
+    import numpy as np
+    grid = np.asarray(grid, dtype=float)
+    counts = np.zeros(grid.size, dtype=np.int64)
+    ties = 0
+    done = 0
+    for child in np.random.SeedSequence(seed).spawn(math.ceil(samples / chunk_size)):
+        size = min(chunk_size, samples - done)
+        closest = closest_transmitter_distances(profile, cfg, i, np.random.default_rng(child), size)
+        closest.sort()
+        first = np.searchsorted(closest, grid, side="left")
+        counts += size - first
+        ties += int((np.searchsorted(closest, grid, side="right") - first).sum())
+        done += size
+    return counts.tolist(), ties

@@ -294,6 +294,19 @@ def test_simulate_deterministic_files(capsys, tmp_path):
     assert abs(est - 0.9375) <= 6.0 * max(se, 1e-9)
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--samples", "0"), ("--samples", "-5")])
+def test_simulate_bad_seed_or_samples_exits_3(capsys, flag, value):
+    # exit 1 is reserved for a negative verification, so a bad seed or
+    # sample count is a domain error, not a ValueError traceback
+    code, out, err = run(
+        capsys,
+        ["simulate", "--config", TWO_NODE, "--profile", INNER_HALF, "--node", "0",
+         "--d", "3.0", flag, value],
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and flag[2:] in err
+
+
 def test_simulate_utility_quantity(capsys):
     code, out, _ = run(
         capsys,

@@ -1,5 +1,6 @@
 import io
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from ragame import (
 )
 from ragame.monte_carlo import CHUNK_SIZE, write_estimates_csv
 
-from tests.generators import random_distribution, random_profile
+from tests.generators import random_distribution, random_increasing_cdf, random_profile
+from tests.oracles import closest_transmitter_distances, monte_carlo_counts
 
 R = 12.0
 DISK = RadialDistribution.uniform_disk(R)
@@ -149,8 +151,11 @@ def test_tie_broken_in_favour_and_logged(caplog):
 
 
 def test_sim_config_validation():
-    with pytest.raises(DomainError):
-        SimConfig(samples=0, seed=1)
+    for samples, seed in ((0, 1), (10, -1), (True, 1), (10, False), (2.5, 1), (10, 1.0), ("10", 1)):
+        with pytest.raises(DomainError):
+            SimConfig(samples=samples, seed=seed)
+    sim = SimConfig(samples=np.int64(3), seed=np.uint32(0))
+    assert (type(sim.samples), type(sim.seed)) == (int, int)
     cfg = cfg_n(2)
     profile = StrategyProfile((Strategy.always(R), Strategy.always(R)))
     sim = SimConfig(samples=10, seed=1)
@@ -178,3 +183,53 @@ def test_estimates_csv():
     assert buf.getvalue() == "d,estimate,std_error\n" + "".join(
         f"{float(d)!r},{e.mean!r},{e.std_error!r}\n" for d, e in zip(grid, ests)
     )
+
+
+def _random_opponent(rng, dist, drawn):
+    """A strategy with no interval, or with endpoints that are random, knots
+    of the law, or distances this opponent draws (so draws hit them)."""
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return Strategy.never(R)
+    if kind == 3:
+        pool = drawn
+    else:
+        pool = list(dist.knots_d) if dist.knots_d and kind == 1 else rng.uniform(0.0, R, 6)
+    ends = sorted(set(rng.choice(pool, size=min(len(pool), 2 * int(rng.integers(1, 4)))).tolist()))
+    return Strategy(radius=R, intervals=tuple(zip(ends[::2], ends[1::2])))
+
+
+def test_estimates_bit_identical_to_distance_space_kernel(caplog):
+    # The library masks uniforms in probability space and maps only each
+    # trial's least transmitting draw through quantile; the reference maps
+    # every draw and masks distances.  Means, standard errors and logged
+    # ties must agree bit for bit, also where draws land on endpoints.
+    rng = np.random.default_rng(20)
+    sizes = (1, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 2, 5000, 1000)
+    for case in range(18):
+        dist = random_increasing_cdf(rng, R) if case % 2 else DISK
+        n = (2, 50, 2, 4)[case % 4] if case < 8 else int(rng.integers(2, 12))
+        samples, seed = sizes[case % len(sizes)], 100 + case
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        u = np.random.default_rng(child).random((min(samples, CHUNK_SIZE), n - 1))
+        drawn = dist.quantile(u[:50])
+        profile = StrategyProfile(
+            (Strategy.always(R), *(_random_opponent(rng, dist, drawn[:, j]) for j in range(n - 1)))
+        )
+        cfg = cfg_n(n, dist=dist)
+        ends = {x for s in profile.strategies for iv in s.intervals for x in iv}
+        grid = sorted(ends | set(dist.knots_d or ()) | set(np.linspace(0.0, R, 9).tolist()))
+        # closest distances drawn in the first chunk too, so that ties occur
+        closest = closest_transmitter_distances(
+            profile, cfg, 0, np.random.default_rng(child), min(samples, CHUNK_SIZE)
+        )
+        grid += closest[np.isfinite(closest)][:3].tolist()
+        counts, ties = monte_carlo_counts(profile, cfg, 0, grid, samples, seed, CHUNK_SIZE)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="ragame.monte_carlo"):
+            ests = estimate_success_curve(profile, cfg, 0, grid, SimConfig(samples=samples, seed=seed))
+        means = [c / samples for c in counts]
+        assert [e.mean for e in ests] == means
+        assert [e.std_error for e in ests] == [math.sqrt(mu * (1 - mu) / samples) for mu in means]
+        logged = [rec.getMessage() for rec in caplog.records]
+        assert logged == ([f"broke {ties} floating-point distance tie(s) in favour of node 0"] if ties else [])

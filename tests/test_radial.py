@@ -64,6 +64,21 @@ def test_piecewise_cdf_is_monotone_at_knots():
         assert dist.cdf(np.array(pts)).tolist() == values
 
 
+def test_piecewise_quantile_is_monotone_at_knots():
+    # Interpolation can round one ulp above the next knot's distance just
+    # below that knot's CDF value; here quantile(1 - 2**-53) came out as
+    # 12.000000000000002, beyond the radius.  quantile caps it, as cdf does.
+    knots = [(0.0, 0.0), (0.9200819289537482, 0.36509371461634993), (12.0, 1.0)]
+    law = RadialDistribution.piecewise_linear_cdf(12.0, knots)
+    assert law.quantile(math.nextafter(1.0, 0.0)) == 12.0
+    rng = np.random.default_rng(17)
+    for dist in (law, *(random_increasing_cdf(rng, 12.0) for _ in range(1000))):
+        pts = sorted({x for p in dist.knots_cdf for x in (math.nextafter(p, 0.0), p)})
+        values = dist.quantile(np.array(pts))
+        assert np.all(np.diff(values) >= 0)
+        assert [dist.quantile(p) for p in pts] == values.tolist()
+
+
 def test_interval_additivity():
     rng = np.random.default_rng(3)
     for dist in (RadialDistribution.uniform_disk(9.0), random_increasing_cdf(rng, 9.0)):
