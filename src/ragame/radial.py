@@ -51,6 +51,13 @@ def spec_pairs(values, what: str) -> list[tuple[float, ...]]:
     return [spec_numbers(pair, f"each of the {what}", 2) for pair in values]
 
 
+def _capped_interp(x, xp: tuple, fp: tuple):
+    """``np.interp(x, xp, fp)`` capped at the next knot's value, so non-decreasing in x."""
+    import numpy as np
+    cap = np.array(fp + fp[-1:])[np.searchsorted(xp, x, side="right")]
+    return np.minimum(np.interp(x, xp, fp), cap)
+
+
 @dataclass(frozen=True)
 class RadialDistribution:
     """Common law of the node-sink distance on [0, radius].
@@ -167,10 +174,8 @@ class RadialDistribution:
             raise DomainError(f"distance {d!r} outside [0, {self.radius}]")
         if self.kind == UNIFORM_DISK:
             out = (arr / self.radius) ** 2
-        else:  # capped at the next knot's value, as in cdf_scalar
-            xs, ys = self.knots_d, self.knots_cdf
-            cap = np.array(ys + ys[-1:])[np.searchsorted(xs, arr, side="right")]
-            out = np.minimum(np.interp(arr, xs, ys), cap)
+        else:
+            out = _capped_interp(arr, self.knots_d, self.knots_cdf)
         return float(out) if arr.ndim == 0 else out
 
     def interval_measure(self, a: float, b: float) -> float:
@@ -195,8 +200,5 @@ class RadialDistribution:
         else:
             if not self.strictly_increasing:
                 raise DomainError("quantile needs a strictly increasing CDF")
-            # capped at the next knot's distance, as cdf is at its value
-            xs, ys = self.knots_d, self.knots_cdf
-            cap = np.array(xs + xs[-1:])[np.searchsorted(ys, arr, side="right")]
-            out = np.minimum(np.interp(arr, ys, xs), cap)
+            out = _capped_interp(arr, self.knots_cdf, self.knots_d)
         return float(out) if np.isscalar(p) or arr.ndim == 0 else out

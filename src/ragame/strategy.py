@@ -147,18 +147,19 @@ class Strategy:
     def transmit_mass_below(self, dist: RadialDistribution, d):
         """Measure of (transmit set) intersected with [0, d]; scalar or array d.
 
-        Evaluated as a sum of clamped CDF differences, one per interval, so
-        along a grid of d values the result is exactly non-decreasing in
-        floating point (each term is).  This is the array kernel behind
-        success curves; the scalar one is ``success.success_evaluator``.
+        One array CDF call, then a success curve's sum for one opponent.
         """
         self._check_dist(dist)
         import numpy as np
         arr = np.asarray(d, dtype=float)
-        total = np.zeros(arr.shape)
-        for a, b in self.intervals:
-            total = total + (dist.cdf(np.clip(arr, a, b)) - dist.cdf(a))
+        total = _mass_below(arr, dist.cdf(arr), self._cdf_rows(dist))
         return float(total) if arr.ndim == 0 else total
+
+    def _cdf_rows(self, dist: RadialDistribution) -> tuple:
+        """One (a, b, F(a), F(b) - F(a)) row per transmit interval, F from ``cdf_scalar``."""
+        cdf = dist.cdf_scalar
+        fas = [cdf(a) for a, _ in self.intervals]
+        return tuple((a, b, fa, cdf(b) - fa) for (a, b), fa in zip(self.intervals, fas))
 
     def symmetric_difference_measure(self, other: "Strategy", dist: RadialDistribution) -> float:
         """Measure of the set where the two strategies disagree."""
@@ -176,12 +177,26 @@ class Strategy:
             )
 
 
+def _mass_below(d, fd, rows):
+    """Transmit mass in [0, d] for an array d, from F(d) and :meth:`Strategy._cdf_rows`.
+
+    The scalar evaluator's terms in its order: 0 below an interval, width
+    beyond it, and inside it F(d) - F(a), clipped to [0, width] as the disk's
+    array and scalar F can round apart; so the sum is non-decreasing in d.
+    """
+    import numpy as np
+    total = np.zeros(d.shape)
+    for a, b, fa, width in rows:
+        total = total + np.where(d < b, np.where(d > a, np.clip(fd - fa, 0.0, width), 0.0), width)
+    return total
+
+
 @dataclass(frozen=True)
 class StrategyProfile:
     """One strategy per node."""
 
     strategies: tuple[Strategy, ...]
-    #: (law, per-strategy CDF rows) cached by ``success.success_evaluator``.
+    #: (law, per-strategy CDF rows) cached for both success kernels.
     _cdf_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -12,11 +12,16 @@ the complement of (j's transmit set intersected with [0, d]), so
 
     q_j(d) = 1 - mu(transmit_j  intersect  [0, d]),
 
-which is the form computed here: a sum of clamped CDF differences.  It is
-exact, and in floating point it is non-increasing in d term by term,
-because the computed CDF is non-decreasing for both laws.  The
-measure-theoretic union form is the natural independent oracle against
-which this identity is tested.
+which is the form computed here: a sum of clamped CDF differences, exact,
+and non-increasing in d in floating point because the computed CDF is
+non-decreasing for both laws.  Both kernels, the scalar evaluator of the
+solver and the verifier and the array one of curves, add the same terms in
+the same order from one table of F(a) and F(b) - F(a) per opponent
+interval (:func:`_opponent_rows`).  So every curve starts at exactly 1, and
+the two agree bit for bit except on the disk strictly inside an opponent
+interval, where the scalar F(d) is libm's ``pow`` and the array one numpy's
+square.  The measure-theoretic union form is the independent oracle
+against which this identity is tested.
 """
 
 from __future__ import annotations
@@ -25,8 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .radial import RadialDistribution
-from .strategy import GameConfig, StrategyProfile
+from .strategy import GameConfig, StrategyProfile, _mass_below
 
 if TYPE_CHECKING:
     import numpy as np
@@ -42,14 +46,11 @@ def success_evaluator(profile: StrategyProfile, cfg: GameConfig, i: int):
     q_j(d) = 1 - (clamped-CDF sum over its transmit intervals).  Root-finders
     evaluate it millions of times, so validation runs once, at build time,
     and so do the CDF values at the interval endpoints (see
-    :func:`_cdf_rows`): an evaluation makes one CDF call, F(d), and sums
+    :func:`_opponent_rows`): an evaluation makes one CDF call, F(d), and sums
     F(d) - F(a) for the interval containing d and F(b) - F(a) for those
     wholly below it.
     """
-    _check(profile, cfg)
-    profile.check_index(i)
-    rows = _cdf_rows(profile, cfg.distribution)
-    opponents = rows[:i] + rows[i + 1 :]
+    opponents = _opponent_rows(profile, cfg, i)
     cdf = cfg.distribution.cdf_scalar
 
     def evaluate(d: float) -> float:
@@ -69,26 +70,18 @@ def success_evaluator(profile: StrategyProfile, cfg: GameConfig, i: int):
     return evaluate
 
 
-def _cdf_rows(profile: StrategyProfile, dist: RadialDistribution) -> tuple:
-    """Per strategy, one (a, b, F(a), F(b) - F(a)) row per transmit interval.
+def _opponent_rows(profile: StrategyProfile, cfg: GameConfig, i: int) -> tuple:
+    """Per opponent of node i, its :meth:`Strategy._cdf_rows`; validates the game.
 
-    Every evaluator built on the same profile and law shares these rows:
-    they are computed once, on the first build, and cached on the profile
-    together with the law object they were computed under.
+    Both success kernels read these rows, cached on the profile per law.
     """
-    cached = profile._cdf_rows
+    _check(profile, cfg)
+    profile.check_index(i)
+    dist, cached = cfg.distribution, profile._cdf_rows
     if cached is None or cached[0] is not dist:
-        cdf = dist.cdf_scalar
-        table = []
-        for s in profile.strategies:
-            rows = []
-            for a, b in s.intervals:
-                fa = cdf(a)
-                rows.append((a, b, fa, cdf(b) - fa))
-            table.append(tuple(rows))
-        cached = (dist, tuple(table))
+        cached = (dist, tuple(s._cdf_rows(dist) for s in profile.strategies))
         object.__setattr__(profile, "_cdf_rows", cached)
-    return cached[1]
+    return cached[1][:i] + cached[1][i + 1 :]
 
 
 def success_probability(profile: StrategyProfile, cfg: GameConfig, i: int, d):
@@ -96,22 +89,20 @@ def success_probability(profile: StrategyProfile, cfg: GameConfig, i: int, d):
 
     Product over all opponents of q_j(d) = 1 - mu(transmit_j intersect
     [0, d]); node i's own strategy does not enter.  Accepts a scalar, which
-    goes through :func:`success_evaluator`, or an array of distances, which
-    goes through :meth:`Strategy.transmit_mass_below`.
+    goes through :func:`success_evaluator`, or an array of distances: one
+    array CDF call, then the evaluator's rows summed by ``_mass_below``.
     """
-    _check(profile, cfg)
-    profile.check_index(i)
     if isinstance(d, (float, int)):
         if not 0 <= d <= cfg.radius:
             raise DomainError(f"distance {d!r} outside [0, {cfg.radius}]")
         return success_evaluator(profile, cfg, i)(float(d))
     import numpy as np
+    opponents = _opponent_rows(profile, cfg, i)
     arr = np.asarray(d, dtype=float)
-    if not np.all((arr >= 0) & (arr <= cfg.radius)):
-        raise DomainError(f"distance {d!r} outside [0, {cfg.radius}]")
+    fd = cfg.distribution.cdf(arr)  # DomainError outside [0, R]
     out = np.ones(arr.shape)
-    for s in profile.opponents(i):
-        out = out * (1.0 - s.transmit_mass_below(cfg.distribution, arr))
+    for rows in opponents:
+        out = out * (1.0 - _mass_below(arr, fd, rows))
     return float(out) if arr.ndim == 0 else out
 
 
@@ -122,12 +113,7 @@ def breakpoints(profile: StrategyProfile, i: int) -> list[float]:
     curve can change; between consecutive breakpoints every opponent factor
     is either constant or strictly decreasing.
     """
-    pts = set()
-    for s in profile.opponents(i):
-        for a, b in s.intervals:
-            pts.add(a)
-            pts.add(b)
-    return sorted(pts)
+    return sorted({x for s in profile.opponents(i) for iv in s.intervals for x in iv})
 
 
 @dataclass(frozen=True)
@@ -170,12 +156,9 @@ def success_curve(
     import numpy as np
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
-    _check(profile, cfg)
-    profile.check_index(i)
     bps = np.array(breakpoints(profile, i))
     grid = np.unique(np.concatenate([np.linspace(0.0, cfg.radius, grid_size), bps]))
-    values = success_probability(profile, cfg, i, grid)
-    return SuccessCurve(node_index=i, grid=grid, values=values, breakpoints=bps)
+    return SuccessCurve(i, grid, success_probability(profile, cfg, i, grid), bps)
 
 
 def _check(profile: StrategyProfile, cfg: GameConfig):

@@ -44,13 +44,37 @@ def profile_with_opponent(s2: Strategy) -> StrategyProfile:
     return StrategyProfile((Strategy.always(R), s2))
 
 
+#: An opponent interval whose lower end a has (a/R) ** 2 (libm pow) one ulp
+#: below numpy's array square: 0.5295547268945169 against 0.529554726894517.
+POW_GAP = (8.732461318139945, 9.692213917126027)
+
+
 def test_opponent_factor_at_zero_is_one():
     rng = np.random.default_rng(4)
     from tests.generators import random_strategy
 
-    for _ in range(50):
-        s = random_strategy(rng, R)
+    strategies = [random_strategy(rng, R) for _ in range(50)]
+    strategies.append(Strategy(radius=R, intervals=(POW_GAP,)))
+    for s in strategies:
         assert 1.0 - s.transmit_mass_below(DISK, 0.0) == 1.0
+        # an array grid takes the array CDF, which the scalar input does not;
+        # nothing is transmitted up to the first interval's lower end
+        grid = np.array([0.0, *(a for a, _ in s.intervals[:1])])
+        assert np.all(1.0 - s.transmit_mass_below(DISK, grid) == 1.0)
+
+
+def test_curve_starts_at_one_where_pow_and_square_round_apart():
+    a, b = POW_GAP
+    assert (a / R) ** 2 < float(DISK.cdf(np.array([a]))[0])
+    cfg = two_node_cfg()
+    profile = profile_with_opponent(Strategy(radius=R, intervals=(POW_GAP,)))
+    curve = success_curve(profile, cfg, 0, grid_size=101)
+    assert curve.values[0] == 1.0 == success_probability(profile, cfg, 0, 0.0)
+    # below and at a the opponent is silent, so the curve is exactly 1 there
+    points = [0.0, float(np.nextafter(a, 0.0)), a, b, float(np.nextafter(b, R)), R]
+    scalar = [success_probability(profile, cfg, 0, d) for d in points]
+    assert success_probability(profile, cfg, 0, np.array(points)).tolist() == scalar
+    assert scalar[:3] == [1.0, 1.0, 1.0]
 
 
 def test_opponent_factor_threshold_values():
@@ -67,11 +91,16 @@ def test_opponent_factor_equals_direct_union_measure():
         dist = random_distribution(rng, R)
         s = random_strategy(rng, R)
         cdf = (lambda dd: float(dist.cdf(dd)))
-        for d in rng.uniform(0.0, R, 5):
+        ds = rng.uniform(0.0, R, 5)
+        for d in ds:
             direct = union_measure(
                 cdf, [(d, R)] + complement_within(s.intervals, R)
             )
             assert abs((1.0 - s.transmit_mass_below(dist, float(d))) - direct) <= 1e-12
+        # on an array, bit for bit the factor of a success curve
+        grid = np.array(sorted({0.0, R, *ds.tolist(), *(x for iv in s.intervals for x in iv)}))
+        factor = success_probability(profile_with_opponent(s), two_node_cfg(dist), 0, grid)
+        assert np.array_equal(1.0 - s.transmit_mass_below(dist, grid), factor)
 
 
 def test_success_probability_examples():
@@ -291,3 +320,32 @@ def test_evaluators_on_one_profile_follow_the_law_they_are_built_with():
         reference = success_per_call(transmit_sets, dist.cdf_scalar, 1)
         fast = success_evaluator(profile, cfg, 1)
         assert [fast(d) for d in points] == [reference(d) for d in points]
+
+
+def test_array_success_equals_scalar_evaluator_bit_for_bit():
+    # On the disk the scalar F(d) is libm's pow and the array F(d) numpy's
+    # square, which can round apart; that may show only where d lies
+    # strictly inside an opponent interval, as F(d) - F(a) there.
+    rng = np.random.default_rng(26)
+    for trial in range(200):
+        n = int(rng.integers(2, 7))
+        dist = random_distribution(rng, R)
+        make = (random_threshold_profile, random_profile, random_near_tie_profile)[trial % 3]
+        profile = make(rng, n, R)
+        if trial % 10 == 0:  # an opponent where pow and the square differ at its end
+            profile = StrategyProfile(
+                profile.strategies[:-1] + (Strategy(radius=R, intervals=(POW_GAP,)),)
+            )
+        cfg = GameConfig(distribution=dist, n=n, costs=(1.0,) * n)
+        i = int(rng.integers(0, n - 1))  # the last node is always an opponent
+        curve = success_curve(profile, cfg, i, grid_size=201)
+        assert curve.values[0] == 1.0
+        points = np.unique(np.concatenate([curve.grid, _probe_points(profile, rng)]))
+        scalar = np.array([success_probability(profile, cfg, i, d) for d in points.tolist()])
+        array = success_probability(profile, cfg, i, points)
+        check = np.ones(points.shape, dtype=bool)
+        if dist.kind == "uniform-disk":
+            for s in profile.opponents(i):
+                for a, b in s.intervals:
+                    check &= ~((points > a) & (points < b))
+        assert np.array_equal(array[check], scalar[check])
