@@ -8,7 +8,7 @@ pipelines can branch:
     0  success
     1  verification negative (candidate profile is not an equilibrium)
     2  malformed JSON (diagnostics carry line and column)
-    3  domain violation (bad indices, ranges, missing files, bad tolerances)
+    3  domain violation (bad indices, ranges, missing or unwritable files, bad tolerances)
     4  numerical failure
 
 All output is deterministic given the arguments and seed; repeated runs
@@ -72,12 +72,16 @@ def _load_game(args) -> tuple[GameConfig, StrategyProfile]:
 
 @contextmanager
 def _output(path: str | None):
-    """The output file, or stdout when no path is given."""
+    """The output file, or stdout when no path is given; one that cannot be opened exits 3."""
     if not path:
         yield sys.stdout
-    else:
-        with open(path, "w") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from exc
+    with fh:
+        yield fh
 
 
 def cmd_success_curve(args) -> int:

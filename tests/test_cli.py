@@ -94,6 +94,28 @@ def test_missing_file_exits_3(capsys, tmp_path):
         assert "no such file" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["success-curve", "--config", TWO_NODE, "--profile", INNER_HALF, "--node", "0"],
+        ["cutoff-sweep", "--n-list", "2", "--c-list", "1.0"],
+        ["equilibrium", "--config", COSTS_3_1],
+        ["verify", "--config", COSTS_3_1, "--profile", MIDDLE_BAND],  # exit 1 if written
+        ["simulate", "--config", TWO_NODE, "--profile", INNER_HALF, "--node", "0",
+         "--d", "3.0", "--samples", "100"],
+    ],
+)
+def test_unwritable_output_exits_3(capsys, tmp_path, argv):
+    # exit 1 is reserved for a negative verification, so an --out path that
+    # cannot be opened is a domain error, not an OSError traceback
+    for out in (tmp_path / "missing" / "out.txt", tmp_path):
+        code, stdout, err = run(capsys, argv + ["--out", str(out)])
+        assert (code, stdout) == (3, "")
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_tolerance_exits_3(capsys):
     # without --tol this profile is not an equilibrium (exit 1); a tolerance
     # of nan or inf must not certify it

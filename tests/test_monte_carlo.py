@@ -18,7 +18,7 @@ from ragame import (
     solve_symmetric_uniform,
     success_probability,
 )
-from ragame.monte_carlo import CHUNK_SIZE, write_estimates_csv
+from ragame.monte_carlo import CHUNK_SIZE, _cut_points, write_estimates_csv
 
 from tests.generators import random_distribution, random_increasing_cdf, random_profile
 from tests.oracles import closest_transmitter_distances, monte_carlo_counts
@@ -183,6 +183,29 @@ def test_estimates_csv():
     assert buf.getvalue() == "d,estimate,std_error\n" + "".join(
         f"{float(d)!r},{e.mean!r},{e.std_error!r}\n" for d, e in zip(grid, ests)
     )
+
+
+def test_cut_points_are_the_largest_floats_mapping_at_or_below_each_end():
+    # The sampler masks draws against these: u transmits for (a, b] exactly
+    # when cut(a) < u <= cut(b), so each cut must be the largest float u in
+    # [0, 1] with quantile(u) <= x, whatever search finds it.
+    rng = np.random.default_rng(27)
+    for case in range(51):
+        dist = random_increasing_cdf(rng, R) if case else DISK
+        near = dist.quantile(rng.random(20))
+        ends = np.clip(
+            np.concatenate([
+                [0.0, R], dist.knots_d or (), rng.uniform(0.0, R, 20),
+                near, np.nextafter(near, -1.0), np.nextafter(near, 2 * R),
+            ]),
+            0.0, R,
+        )
+        cuts = _cut_points(dist.quantile, ends)
+        assert cuts.shape == ends.shape
+        assert ((cuts >= 0.0) & (cuts <= 1.0)).all()
+        assert (dist.quantile(cuts) <= ends).all()
+        above = np.nextafter(cuts, 2.0)
+        assert ((cuts == 1.0) | (dist.quantile(np.minimum(above, 1.0)) > ends)).all()
 
 
 def _random_opponent(rng, dist, drawn):
