@@ -18,12 +18,12 @@ distance, back off beyond it.  Three regimes arise:
 
 The interior cut-off is the *first* zero of util, inf{d : util(d) <= 0}:
 util can be flat at zero over whole intervals, where no opponent transmits,
-so not just any zero will do.  As util is non-increasing, {util <= 0} is one
-interval reaching to R, and its left edge is the one float at which util
-turns non-positive; :func:`first_zero`, which bisects with the invariant
-util(lo) > 0 >= util(hi), finds that float from any bracket that holds it.
-The computed util is non-increasing too (see ``success``), so the same
-holds in floating point.
+so not just any zero will do.  As util is non-increasing, in floating point
+too (see ``success``), its left edge is the one float where util turns
+non-positive, which :func:`first_zero` finds from any bracket and guess.
+With cut-off opponents, success between adjacent cut-offs is
+P * (1 - F(d))^m, whose closed-form root guesses the edge within a few
+ulps; util still decides every sign, so no bit depends on the guess.
 
 One region needs the zero-tie tolerance rather than exact signs: beyond the
 last distance at which any opponent still transmits, util is bit-exactly
@@ -36,10 +36,13 @@ at zero and the cut-off resolves to its left edge.
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .strategy import GameConfig, StrategyProfile
-from .success import success_evaluator
+from .success import _opponent_rows, success_evaluator
 
 INTERIOR = "interior"
 FULL_TRANSMIT = "full-transmit"
@@ -49,21 +52,59 @@ BOUNDARY_ZERO = "boundary-zero"
 VALUE_TOL = 1e-12
 
 
-def first_zero(f, lo: float, hi: float) -> float:
-    """Left edge of the set where f <= 0, for f(lo) > 0 >= f(hi).
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
 
-    Bisects with that invariant until lo and hi are adjacent floats and
-    returns hi.  No step cap is needed: each step either stops or moves an
-    endpoint strictly inside the bracket, and a NaN value counts as <= 0.
+
+def _bits(x: float) -> int:
+    return _INT64.unpack(_DOUBLE.pack(x))[0]
+
+
+def _float(k: int) -> float:
+    """The float with bit pattern k, which orders non-negative floats; NaN past them."""
+    return _DOUBLE.unpack(_INT64.pack(k))[0] if 0 <= k < 1 << 63 else math.nan
+
+
+def first_zero(f, lo: float, hi: float, guess: float = math.nan) -> float:
+    """Left edge of the set where f <= 0, for f(lo) > 0 >= f(hi) and 0 <= lo.
+
+    Gallops from the guess (clamped into (lo, hi); NaN for none) by 1, 2, 4,
+    ... ulps toward the sign change until a probe leaves the bracket, then
+    bisects to adjacent floats and returns hi.  Once hi has halved 8 times
+    and lo < hi / 2, the midpoint halves the bit patterns instead, so any
+    bracket costs at most about 64 more steps.  NaN counts as <= 0.
     """
+    x = min(max(guess, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+    k, step = _bits(x), 1
+    while lo < x < hi:
+        if f(x) > 0.0:
+            lo, k = x, k + step
+        else:
+            hi, k = x, k - step
+        x, step = _float(k), 2 * step
+    top = hi
     while True:
-        mid = 0.5 * (lo + hi)
+        arithmetic = lo >= 0.5 * hi or 256.0 * hi >= top
+        mid = 0.5 * (lo + hi) if arithmetic else _float((_bits(lo) + _bits(hi)) // 2)
         if mid <= lo or mid >= hi:
             return hi
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
+
+
+def _cutoff_guess(rows, dist, target: float) -> float:
+    """Closed-form first d with success <= target if all ``rows`` are cut-offs, else NaN."""
+    cuts = sorted((row for r in rows for row in r), key=itemgetter(1))
+    # Disjoint intervals that all start at 0 are one per opponent: cut-offs.
+    if any(a for a, _, _, _ in cuts):
+        return math.nan
+    scale, m, lo = 1.0, len(cuts), 0.0
+    for _, t, _, width in cuts:  # (0, t_j, F(0) = 0, F(t_j)) by t_j
+        if scale * (1.0 - width) ** m <= target:
+            return max(dist._root_guess(scale, m, target), lo)
+        scale, m, lo = scale * (1.0 - width), m - 1, t
+    return math.nan
 
 
 @dataclass(frozen=True)
@@ -83,11 +124,11 @@ def best_response_threshold(
 ) -> BestResponseResult:
     """Critical distance below which node i should transmit.
 
-    Bisects with :func:`first_zero` until the bracket endpoints are adjacent
-    floats, however small the cut-off, which always lands well inside the
-    documented 1e-10 * radius guarantee.  The returned threshold t carries
-    util(t) <= 0 (the node backs off at its own threshold), except in the
-    full-transmit case where util stays positive everywhere including at R.
+    :func:`first_zero` runs to adjacent floats, however small the cut-off,
+    which lands well inside the documented 1e-10 * radius guarantee.  The
+    returned threshold t carries util(t) <= 0 (the node backs off at its own
+    threshold), except in the full-transmit case where util stays positive
+    everywhere including at R.
     """
     radius = cfg.radius
     success = success_evaluator(profile, cfg, i)
@@ -106,6 +147,7 @@ def best_response_threshold(
     # The first zero lies in [0, silent_tail_start].  A positive util_end is
     # a tie at zero: back off from that region's left edge, which is R
     # itself if opponents transmit all the way out.
-    t = silent_tail_start if util_end > 0.0 else first_zero(util, 0.0, silent_tail_start)
+    guess = _cutoff_guess(_opponent_rows(profile, cfg, i), cfg.distribution, c / (1.0 + c))
+    t = silent_tail_start if util_end > 0.0 else first_zero(util, 0.0, silent_tail_start, guess)
     # At t == R util is positive on every representable d < R: boundary case.
     return BestResponseResult(t, BOUNDARY_ZERO if t == radius else INTERIOR, util(t))

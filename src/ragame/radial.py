@@ -159,6 +159,18 @@ class RadialDistribution:
         slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
         return min(slope * (d - xs[j]) + ys[j], ys[j + 1])
 
+    def _root_guess(self, scale: float, exponent: int, target: float) -> float:
+        """Plain-Python first probe for a root of scale * (1 - F(d))^exponent = target, or NaN."""
+        try:
+            p = max(-math.expm1(math.log(target / scale) / exponent), 0.0)
+            if self.kind == UNIFORM_DISK:
+                return self.radius * math.sqrt(p)
+            xs, ys = self.knots_d, self.knots_cdf
+            j = min(bisect_right(ys, p), len(ys) - 1)  # ys[j - 1] <= p < ys[j] unless p = 1
+            return xs[j - 1] + (p - ys[j - 1]) * (xs[j] - xs[j - 1]) / (ys[j] - ys[j - 1])
+        except (ArithmeticError, ValueError):
+            return math.nan
+
     def cdf(self, d):
         """F(d), the probability of a distance no larger than d.
 

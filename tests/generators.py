@@ -45,6 +45,19 @@ def random_threshold_profile(rng, n, radius) -> StrategyProfile:
     )
 
 
+def random_cutoff_profile(rng, n, radius) -> StrategyProfile:
+    """Cut-off profile with repeated cut-offs, silent nodes and nodes at R.
+
+    Each cut-off is 0, R, a fresh uniform draw or one drawn before.
+    """
+    cutoffs = []
+    for _ in range(n):
+        kind = int(rng.choice(4, p=(0.1, 0.1, 0.6, 0.2))) if cutoffs else 2
+        t = (0.0, radius, rng.uniform(0.0, radius), None)[kind]
+        cutoffs.append(float(t if t is not None else cutoffs[rng.integers(0, len(cutoffs))]))
+    return StrategyProfile(tuple(Strategy.threshold(t, radius) for t in cutoffs))
+
+
 def random_costs(rng, n) -> tuple[float, ...]:
     """Cost vector with a random mix of repeated and distinct values.
 

@@ -14,13 +14,17 @@ from ragame import (
     best_response_threshold,
     solve_sequential,
     success_probability,
+    verify_nash,
 )
+from ragame.best_response import first_zero
+from ragame.success import success_evaluator
 
 from tests.generators import (
     STEP_LAWS,
     nudged_threshold_profile,
     random_config,
     random_costs,
+    random_cutoff_profile,
     random_distribution,
     random_increasing_cdf,
     random_knot_tie_game,
@@ -220,6 +224,22 @@ def _reference_games(seed, count):
         yield random_knot_tie_game(rng, int(rng.integers(2, 9)), dist)
 
 
+def _cutoff_games(seed, count):
+    """Seeded (cfg, profile) pairs in which every node uses a cut-off rule, n
+    up to 60 on both laws: repeated cut-offs, silent nodes, nodes at R and
+    solved equilibria moved by a few ulps, with costs from 1e-12 to 1e12."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = int(rng.integers(2, 61)) if trial % 6 < 2 else int(rng.integers(2, 9))
+        if trial % 2:
+            cfg = random_config(rng, n, R)
+            yield cfg, nudged_threshold_profile(rng, solve_sequential(cfg).profile.thresholds, R)
+            continue
+        dist = STEP_LAWS[trial // 2 % 4] if trial % 8 == 6 else random_distribution(rng, R)
+        costs = tuple(float(c) for c in np.exp(rng.uniform(math.log(1e-12), math.log(1e12), n)))
+        yield GameConfig(distribution=dist, n=n, costs=costs), random_cutoff_profile(rng, n, R)
+
+
 def test_matches_linear_scan_reference_bit_for_bit():
     boundary_zero = (
         cfg_with_cost(0.25 / 0.75),
@@ -231,7 +251,12 @@ def test_matches_linear_scan_reference_bit_for_bit():
         cfg_with_cost(1e16),
         StrategyProfile((Strategy.never(R), Strategy.never(R))),
     )
-    games = [boundary_zero, all_silent, *_reference_games(seed=41, count=120)]
+    games = [
+        boundary_zero,
+        all_silent,
+        *_reference_games(seed=41, count=120),
+        *_cutoff_games(seed=7, count=36),
+    ]
     for cfg, profile in games:
         transmit_sets = [s.intervals for s in profile.strategies]
         for i in range(cfg.n):
@@ -244,3 +269,85 @@ def test_matches_linear_scan_reference_bit_for_bit():
     cfg, profile = all_silent
     result = best_response_threshold(profile, cfg, 0)
     assert (result.threshold, result.boundary_case) == (R, FULL_TRANSMIT)
+
+
+def test_first_zero_is_scale_free():
+    # The generic search (no guess) finds a zero in any binade of [0, R] in
+    # at most about 75 evaluations, and any guess leaves the result unchanged.
+    roots = [math.ldexp(1.0, e) for e in range(-1074, 4, 7)]
+    roots += [5e-324, 1e-300, 1e-100, 1e-12, 6.0, math.nextafter(R, 0.0), R]
+    for root in roots:
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return 1.0 if x < root else -1.0
+
+        assert first_zero(f, 0.0, R) == root
+        assert len(calls) <= 75, (root, len(calls))
+        for guess in (math.nan, -1.0, 0.0, 5e-324, root, math.nextafter(root, 0.0),
+                      math.nextafter(root, R), 1e-150, 1.0, R, math.inf):
+            assert first_zero(f, 0.0, R, guess) == root, (root, guess)
+
+
+def plain_class_solve(cfg):
+    """solve_sequential's class equations, each bisected blind on (previous cut-off, R)."""
+    cdf, radius = cfg.distribution.cdf_scalar, cfg.radius
+    thresholds, remaining, prefix, t = [0.0] * cfg.n, cfg.n, 1.0, 0.0
+    for cost in sorted(set(cfg.costs), reverse=True):
+        members = [i for i, c in enumerate(cfg.costs) if c == cost]
+        remaining -= len(members)
+        exponent, target = len(members) - 1 + remaining, cost / (1.0 + cost)
+        lo, t = t, radius
+        while exponent:  # a cheapest singleton (exponent 0) stays at R
+            mid = 0.5 * (lo + t)
+            if mid <= lo or mid >= t:
+                break
+            if prefix * (1.0 - cdf(mid)) ** exponent - target > 0.0:
+                lo = mid
+            else:
+                t = mid
+        for m in members:
+            thresholds[m] = t
+        prefix *= (1.0 - cdf(t)) ** len(members)
+    return tuple(thresholds)
+
+
+def test_class_solve_matches_plain_bisection_bit_for_bit():
+    rng = np.random.default_rng(19)
+    for trial in range(40):
+        n = int(rng.integers(2, 61))
+        cfg = random_config(rng, n, R)
+        if trial % 2:
+            costs = np.exp(rng.uniform(math.log(1e-12), math.log(1e12), n))
+            cfg = GameConfig(cfg.distribution, n, tuple(float(c) for c in costs))
+        assert solve_sequential(cfg).profile.thresholds == plain_class_solve(cfg)
+
+
+def test_best_response_takes_at_most_12_evaluations(monkeypatch):
+    # Verifying a K = n equilibrium: every opponent is a cut-off rule, so each
+    # best response starts at its closed-form guess (about 58 evaluations blind).
+    import ragame.best_response as br
+
+    def counting_evaluator(*args):
+        evaluate = success_evaluator(*args)
+        builds.append(1)
+
+        def counted(d):
+            evals.append(1)
+            return evaluate(d)
+
+        return counted
+
+    rng = np.random.default_rng(3)
+    for n in (50, 100):
+        for dist in (DISK, random_increasing_cdf(rng, R)):
+            costs = tuple(float(c) for c in np.exp(rng.uniform(math.log(0.1), math.log(10.0), n)))
+            cfg = GameConfig(distribution=dist, n=n, costs=costs)
+            profile = solve_sequential(cfg).profile
+            builds, evals = [], []
+            monkeypatch.setattr(br, "success_evaluator", counting_evaluator)
+            assert verify_nash(profile, cfg).is_nash
+            monkeypatch.undo()
+            assert len(builds) == n
+            assert len(evals) / len(builds) <= 12.0, (n, dist.kind, len(evals) / len(builds))

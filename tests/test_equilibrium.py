@@ -290,7 +290,7 @@ def test_damped_iteration_agrees_with_sequential():
         assert max(abs(a - b) for a, b in zip(seq, itr)) <= 1e-6 * R
 
 
-@pytest.mark.parametrize("knot", [1e-12, 1e-100])
+@pytest.mark.parametrize("knot", [1e-12, 1e-100, 1e-300])
 def test_damped_iteration_agrees_on_tiny_cutoffs(knot):
     # Every cut-off but R lies far below 1e-9 * R, so only a stop rule
     # relative to each cut-off tells a fixed point from a near miss.
