@@ -93,9 +93,8 @@ def first_zero(f, lo: float, hi: float, guess: float = math.nan) -> float:
             hi = mid
 
 
-def _cutoff_guess(rows, dist, target: float) -> float:
-    """Closed-form first d with success <= target if all ``rows`` are cut-offs, else NaN."""
-    cuts = sorted((row for r in rows for row in r), key=itemgetter(1))
+def _cutoff_guess(cuts, dist, target: float) -> float:
+    """Closed-form first d with success <= target if the sorted ``cuts`` are cut-offs, else NaN."""
     # Disjoint intervals that all start at 0 are one per opponent: cut-offs.
     if any(a for a, _, _, _ in cuts):
         return math.nan
@@ -130,9 +129,9 @@ def best_response_threshold(
     threshold), except in the full-transmit case where util stays positive
     everywhere including at R.
     """
-    radius = cfg.radius
-    success = success_evaluator(profile, cfg, i)
-    c = cfg.costs[i]
+    radius, c, opponents = cfg.radius, cfg.costs[i], _opponent_rows(profile, cfg, i)
+    success = success_evaluator(opponents, cfg.distribution.cdf_scalar)
+    cuts = sorted((row for rows in opponents for row in rows), key=itemgetter(1))
 
     def util(d: float) -> float:
         return (1.0 + c) * success(d) - c
@@ -140,14 +139,14 @@ def best_response_threshold(
     # Beyond silent_tail_start no opponent transmits, so util is bit-exactly
     # util_end; with every opponent silent, success is exactly 1 at any cost.
     util_end = util(radius)
-    silent_tail_start = max((s.cutoff for s in profile.opponents(i)), default=0.0)
+    silent_tail_start = cuts[-1][1] if cuts else 0.0
     if util_end > VALUE_TOL or silent_tail_start == 0.0:
         return BestResponseResult(radius, FULL_TRANSMIT, util_end)
 
     # The first zero lies in [0, silent_tail_start].  A positive util_end is
     # a tie at zero: back off from that region's left edge, which is R
     # itself if opponents transmit all the way out.
-    guess = _cutoff_guess(_opponent_rows(profile, cfg, i), cfg.distribution, c / (1.0 + c))
+    guess = _cutoff_guess(cuts, cfg.distribution, c / (1.0 + c))
     t = silent_tail_start if util_end > 0.0 else first_zero(util, 0.0, silent_tail_start, guess)
     # At t == R util is positive on every representable d < R: boundary case.
     return BestResponseResult(t, BOUNDARY_ZERO if t == radius else INTERIOR, util(t))

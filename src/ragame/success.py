@@ -15,13 +15,13 @@ the complement of (j's transmit set intersected with [0, d]), so
 which is the form computed here: a sum of clamped CDF differences, exact,
 and non-increasing in d in floating point because the computed CDF is
 non-decreasing for both laws.  Both kernels, the scalar evaluator of the
-solver and the verifier and the array one of curves, add the same terms in
-the same order from one table of F(a) and F(b) - F(a) per opponent
-interval (:func:`_opponent_rows`).  So every curve starts at exactly 1, and
-the two agree bit for bit except on the disk strictly inside an opponent
-interval, where the scalar F(d) is libm's ``pow`` and the array one numpy's
-square.  The measure-theoretic union form is the independent oracle
-against which this identity is tested.
+solver and the verifier and the array one of curves, take one table of F(a)
+and F(b) - F(a) per opponent interval, validated only by
+:func:`_opponent_rows`, and add the same terms in the same order.  So every
+curve starts at exactly 1, and the two agree bit for bit except on the disk
+strictly inside an opponent interval, where the scalar F(d) is libm's
+``pow`` and the array one numpy's square.  The measure-theoretic union form
+is the independent oracle against which this identity is tested.
 """
 
 from __future__ import annotations
@@ -39,20 +39,17 @@ if TYPE_CHECKING:
 _CSV_BLOCK = 4096
 
 
-def success_evaluator(profile: StrategyProfile, cfg: GameConfig, i: int):
-    """Scalar success-probability closure with all validation hoisted.
+def success_evaluator(opponents: tuple, cdf):
+    """Scalar success-probability closure over an opponent table.
 
     This is the one scalar kernel: each opponent contributes the factor
     q_j(d) = 1 - (clamped-CDF sum over its transmit intervals).  Root-finders
-    evaluate it millions of times, so validation runs once, at build time,
-    and so do the CDF values at the interval endpoints (see
-    :func:`_opponent_rows`): an evaluation makes one CDF call, F(d), and sums
+    evaluate it millions of times, so it reads a table built and validated
+    once, by :func:`_opponent_rows`, with the CDF values at the interval
+    endpoints: an evaluation makes one ``cdf`` call, F(d), and sums
     F(d) - F(a) for the interval containing d and F(b) - F(a) for those
     wholly below it.
     """
-    opponents = _opponent_rows(profile, cfg, i)
-    cdf = cfg.distribution.cdf_scalar
-
     def evaluate(d: float) -> float:
         fd = cdf(d)
         out = 1.0
@@ -73,7 +70,7 @@ def success_evaluator(profile: StrategyProfile, cfg: GameConfig, i: int):
 def _opponent_rows(profile: StrategyProfile, cfg: GameConfig, i: int) -> tuple:
     """Per opponent of node i, its :meth:`Strategy._cdf_rows`; validates the game.
 
-    Both success kernels read these rows, cached on the profile per law.
+    Both success kernels read these rows, checked only here and cached per law.
     """
     _check(profile, cfg)
     profile.check_index(i)
@@ -95,7 +92,8 @@ def success_probability(profile: StrategyProfile, cfg: GameConfig, i: int, d):
     if isinstance(d, (float, int)):
         if not 0 <= d <= cfg.radius:
             raise DomainError(f"distance {d!r} outside [0, {cfg.radius}]")
-        return success_evaluator(profile, cfg, i)(float(d))
+        rows, cdf = _opponent_rows(profile, cfg, i), cfg.distribution.cdf_scalar
+        return success_evaluator(rows, cdf)(float(d))
     import numpy as np
     opponents = _opponent_rows(profile, cfg, i)
     arr = np.asarray(d, dtype=float)

@@ -251,9 +251,21 @@ def test_matches_linear_scan_reference_bit_for_bit():
         cfg_with_cost(1e16),
         StrategyProfile((Strategy.never(R), Strategy.never(R))),
     )
+    # On a flat-topped law, against an always-transmitting opponent, a tiny
+    # cost rounds the guess's 1 - F(t) = c / (1 + c) to F(t) = 1, where the
+    # interpolation divides by zero: no guess, so the search starts blind.
+    flat_top = RadialDistribution.piecewise_linear_cdf(R, [[0.0, 0.0], [6.0, 1.0], [R, 1.0]])
+    flat_top_games = [
+        (cfg_with_cost(c, dist=flat_top), vs_opponent(Strategy.always(R)))
+        for c in (1e-300, 1e-200, 1e-20)
+    ]
+    for cfg, _ in flat_top_games:
+        c = cfg.costs[0]
+        assert math.isnan(flat_top._root_guess(1.0, 1, c / (1.0 + c)))
     games = [
         boundary_zero,
         all_silent,
+        *flat_top_games,
         *_reference_games(seed=41, count=120),
         *_cutoff_games(seed=7, count=36),
     ]
@@ -269,6 +281,9 @@ def test_matches_linear_scan_reference_bit_for_bit():
     cfg, profile = all_silent
     result = best_response_threshold(profile, cfg, 0)
     assert (result.threshold, result.boundary_case) == (R, FULL_TRANSMIT)
+    for cfg, profile in flat_top_games:
+        result = best_response_threshold(profile, cfg, 0)
+        assert (result.threshold, result.boundary_case) == (6.0, INTERIOR)
 
 
 def test_first_zero_is_scale_free():
@@ -351,3 +366,37 @@ def test_best_response_takes_at_most_12_evaluations(monkeypatch):
             monkeypatch.undo()
             assert len(builds) == n
             assert len(evals) / len(builds) <= 12.0, (n, dist.kind, len(evals) / len(builds))
+
+
+def test_best_response_reads_the_opponent_table_once(monkeypatch):
+    # A best response sees its opponents only through the validated table:
+    # one _opponent_rows call, and no walk over their Strategy objects.
+    import ragame.best_response as br
+    import ragame.equilibrium as eq
+    import ragame.success as su
+
+    calls = {"rows": 0, "best_response": 0, "success_probability": 0, "opponents": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    cfg = GameConfig(distribution=DISK, n=6, costs=(3.0, 2.0, 1.5, 1.0, 0.7, 0.5))
+    profile = solve_sequential(cfg).profile
+    rows = counted("rows", su._opponent_rows)
+    monkeypatch.setattr(su, "_opponent_rows", rows)
+    monkeypatch.setattr(br, "_opponent_rows", rows)
+    for owner, name, key in (
+        (eq, "best_response_threshold", "best_response"),
+        (eq, "success_probability", "success_probability"),
+        (StrategyProfile, "opponents", "opponents"),
+    ):
+        monkeypatch.setattr(owner, name, counted(key, getattr(owner, name)))
+    assert verify_nash(profile, cfg).is_nash
+    assert calls["best_response"] == cfg.n
+    # each scalar success_probability builds its own table once too
+    assert calls["rows"] == calls["best_response"] + calls["success_probability"]
+    assert calls["opponents"] == 0

@@ -211,6 +211,33 @@ def test_wrongly_typed_specs_exit_3(capsys, tmp_path, config, profile_entry, swe
         assert err.startswith("error: malformed ")
 
 
+NO_DISTRIBUTION = {k: v for k, v in GOOD_CONFIG.items() if k != "distribution"}
+BOTH_ALWAYS = [{"threshold": 12.0}] * 2
+
+
+@pytest.mark.parametrize(
+    "config, profile, message",
+    [
+        (GOOD_CONFIG, [{"threshold": 12.0}] * 3, "profile has 3 strategies for 2 nodes"),
+        ([1, 2], BOTH_ALWAYS, "game config must be an object"),
+        (NO_DISTRIBUTION, BOTH_ALWAYS, "game config missing 'distribution'"),
+        (GOOD_CONFIG, {"threshold": 6.0}, "profile spec must be an array of strategy specs"),
+        (GOOD_CONFIG, [{"threshold": 12.0}, 6.0], "strategy spec must be an object, got 6.0"),
+    ],
+    ids=["three-strategies", "config-array", "config-no-distribution", "profile-object",
+         "strategy-number"],
+)
+def test_ill_shaped_documents_exit_3(capsys, tmp_path, config, profile, message):
+    config_path, profile_path = tmp_path / "config.json", tmp_path / "profile.json"
+    config_path.write_text(json.dumps(config))
+    profile_path.write_text(json.dumps(profile))
+    runs = [["verify", "--config", str(config_path), "--profile", str(profile_path)]]
+    if config is not GOOD_CONFIG:
+        runs.append(["equilibrium", "--config", str(config_path)])
+    for argv in runs:
+        assert run(capsys, argv) == (3, "", f"error: {message}\n")
+
+
 def test_tiny_cutoff_equilibrium_exits_0(capsys, tmp_path):
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps({

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -414,6 +415,16 @@ def test_distinct_cost_report_is_small_and_unpacks_exactly():
         tracemalloc.stop()
     assert retained <= 8 * 1024
     assert report.is_nash
+    assert report.as_dict() == _unpacked_as_dict(report.profile, cfg)
+
+
+def test_report_with_more_than_255_checks_unpacks_exactly():
+    # 300 distinct checks: the per-node check indices no longer fit a byte.
+    rng = np.random.default_rng(31)
+    cfg = uniform_cfg(np.exp(rng.uniform(np.log(0.1), np.log(10.0), 300)))
+    report = solve_sequential(cfg)
+    assert report.is_nash
+    assert isinstance(report._check_index, array) and report._check_index.typecode == "H"
     assert report.as_dict() == _unpacked_as_dict(report.profile, cfg)
 
 

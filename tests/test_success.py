@@ -9,10 +9,12 @@ from ragame import (
     RadialDistribution,
     Strategy,
     StrategyProfile,
+    best_response_threshold,
     success_curve,
     success_probability,
+    verify_nash,
 )
-from ragame.success import breakpoints, success_evaluator
+from ragame.success import _opponent_rows, breakpoints, success_evaluator
 
 from tests.generators import (
     random_distribution,
@@ -126,6 +128,19 @@ def test_success_probability_at_zero_is_one():
         cfg = GameConfig(distribution=random_distribution(rng, R), n=n, costs=(1.0,) * n)
         profile = random_profile(rng, n, R)
         assert success_probability(profile, cfg, 0, 0.0) == 1.0
+
+
+def test_profile_on_another_radius_is_rejected():
+    profile = StrategyProfile((Strategy.always(10.0), Strategy.threshold(5.0, 10.0)))
+    cfg = two_node_cfg()  # radius 12
+    for call in (
+        lambda: success_probability(profile, cfg, 0, 3.0),
+        lambda: success_probability(profile, cfg, 0, np.array([3.0])),
+        lambda: best_response_threshold(profile, cfg, 0),
+        lambda: verify_nash(profile, cfg),
+    ):
+        with pytest.raises(DomainError, match="profile radius and game radius disagree"):
+            call()
 
 
 def test_success_curve_values_uniform_disk_and_linear():
@@ -299,7 +314,7 @@ def test_evaluator_matches_per_call_cdf_kernel_bit_for_bit():
         transmit_sets = [s.intervals for s in profile.strategies]
         points = _probe_points(profile, rng)
         for i in range(n):
-            fast = success_evaluator(profile, cfg, i)
+            fast = success_evaluator(_opponent_rows(profile, cfg, i), dist.cdf_scalar)
             reference = success_per_call(transmit_sets, dist.cdf_scalar, i)
             assert [fast(d) for d in points] == [reference(d) for d in points]
             assert [success_probability(profile, cfg, i, d) for d in points[:5]] == [
@@ -318,7 +333,7 @@ def test_evaluators_on_one_profile_follow_the_law_they_are_built_with():
     for dist in laws:
         cfg = GameConfig(distribution=dist, n=4, costs=(1.0,) * 4)
         reference = success_per_call(transmit_sets, dist.cdf_scalar, 1)
-        fast = success_evaluator(profile, cfg, 1)
+        fast = success_evaluator(_opponent_rows(profile, cfg, 1), dist.cdf_scalar)
         assert [fast(d) for d in points] == [reference(d) for d in points]
 
 
