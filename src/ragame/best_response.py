@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .strategy import GameConfig, StrategyProfile
 from .success import _opponent_rows, success_evaluator
@@ -93,13 +92,12 @@ def first_zero(f, lo: float, hi: float, guess: float = math.nan) -> float:
             hi = mid
 
 
-def _cutoff_guess(cuts, dist, target: float) -> float:
-    """Closed-form first d with success <= target if the sorted ``cuts`` are cut-offs, else NaN."""
-    # Disjoint intervals that all start at 0 are one per opponent: cut-offs.
-    if any(a for a, _, _, _ in cuts):
-        return math.nan
-    scale, m, lo = 1.0, len(cuts), 0.0
-    for _, t, _, width in cuts:  # (0, t_j, F(0) = 0, F(t_j)) by t_j
+def _cutoff_guess(by_end, i: int, m: int, dist, target: float) -> float:
+    """Closed-form first d with success <= target, from the m (t_j, j, F(t_j)) with j != i."""
+    scale, lo = 1.0, 0.0
+    for t, j, width in by_end:
+        if j == i:
+            continue
         if scale * (1.0 - width) ** m <= target:
             return max(dist._root_guess(scale, m, target), lo)
         scale, m, lo = scale * (1.0 - width), m - 1, t
@@ -131,7 +129,7 @@ def best_response_threshold(
     """
     radius, c, opponents = cfg.radius, cfg.costs[i], _opponent_rows(profile, cfg, i)
     success = success_evaluator(opponents, cfg.distribution.cdf_scalar)
-    cuts = sorted((row for rows in opponents for row in rows), key=itemgetter(1))
+    _, table, by_end, bands = profile._cdf_rows  # the table _opponent_rows just read
 
     def util(d: float) -> float:
         return (1.0 + c) * success(d) - c
@@ -139,14 +137,17 @@ def best_response_threshold(
     # Beyond silent_tail_start no opponent transmits, so util is bit-exactly
     # util_end; with every opponent silent, success is exactly 1 at any cost.
     util_end = util(radius)
-    silent_tail_start = cuts[-1][1] if cuts else 0.0
+    silent_tail_start = next((t for t, j, _ in reversed(by_end) if j != i), 0.0)
     if util_end > VALUE_TOL or silent_tail_start == 0.0:
         return BestResponseResult(radius, FULL_TRANSMIT, util_end)
 
     # The first zero lies in [0, silent_tail_start].  A positive util_end is
     # a tie at zero: back off from that region's left edge, which is R
     # itself if opponents transmit all the way out.
-    guess = _cutoff_guess(cuts, cfg.distribution, c / (1.0 + c))
+    _, _, cut, rows = table[i]
+    guess = math.nan  # blind search when any opponent is not a cut-off
+    if bands == (not cut):
+        guess = _cutoff_guess(by_end, i, len(by_end) - len(rows), cfg.distribution, c / (1.0 + c))
     t = silent_tail_start if util_end > 0.0 else first_zero(util, 0.0, silent_tail_start, guess)
     # At t == R util is positive on every representable d < R: boundary case.
     return BestResponseResult(t, BOUNDARY_ZERO if t == radius else INTERIOR, util(t))

@@ -196,7 +196,7 @@ class StrategyProfile:
     """One strategy per node."""
 
     strategies: tuple[Strategy, ...]
-    #: (law, per-strategy CDF rows) cached for both success kernels.
+    #: The success table of the last law (see ``success._opponent_rows``).
     _cdf_rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -268,6 +268,8 @@ class GameConfig:
         radius, n = spec_number(spec["radius"], "radius"), spec["n"]
         if isinstance(n, bool) or not isinstance(n, int):
             raise TypeError(f"n must be an integer, got {n!r}")
+        if not isinstance(spec["distribution"], dict):
+            raise TypeError(f"distribution spec must be an object, got {spec['distribution']!r}")
         dist_spec = dict(spec["distribution"])
         dist_spec.setdefault("radius", radius)
         distribution = RadialDistribution.from_spec(dist_spec)

@@ -22,6 +22,8 @@ curve starts at exactly 1, and the two agree bit for bit except on the disk
 strictly inside an opponent interval, where the scalar F(d) is libm's
 ``pow`` and the array one numpy's square.  The measure-theoretic union form
 is the independent oracle against which this identity is tested.
+The scalar kernel skips the sum, to the same float, past an opponent's last
+end and below a cut-off (see :func:`success_evaluator`).
 """
 
 from __future__ import annotations
@@ -43,40 +45,60 @@ def success_evaluator(opponents: tuple, cdf):
     """Scalar success-probability closure over an opponent table.
 
     This is the one scalar kernel: each opponent contributes the factor
-    q_j(d) = 1 - (clamped-CDF sum over its transmit intervals).  Root-finders
-    evaluate it millions of times, so it reads a table built and validated
-    once, by :func:`_opponent_rows`, with the CDF values at the interval
-    endpoints: an evaluation makes one ``cdf`` call, F(d), and sums
-    F(d) - F(a) for the interval containing d and F(b) - F(a) for those
-    wholly below it.
+    q_j(d) = 1 - (clamped-CDF sum over its transmit intervals).  It reads the
+    table that :func:`_opponent_rows` validates, built once per profile and
+    law, and an evaluation makes one ``cdf`` call, F(d).  Opponents multiply
+    in node order, each (end, q_full, cut, rows) by the row loop's float:
+
+    * d >= end: every row adds its whole width, and ``q_full`` is 1.0 minus
+      the widths added left to right from 0.0;
+    * a cut-off (``cut``: one row, from 0) below its end: the one term is
+      0.0 + (F(d) - F(0)), F(0) is 0.0 on both laws, so the factor is 1 - F(d);
+    * otherwise the row loop: F(d) - F(a) for the interval containing d and
+      F(b) - F(a) for those wholly below it.
     """
     def evaluate(d: float) -> float:
         fd = cdf(d)
-        out = 1.0
-        for intervals in opponents:
-            mass = 0.0
-            for a, b, fa, width in intervals:
-                if d < b:
-                    if d > a:
-                        mass += fd - fa
-                    break  # later intervals lie beyond d
-                mass += width
-            out *= 1.0 - mass
+        below_cut, out = 1.0 - fd, 1.0
+        for end, q_full, cut, rows in opponents:
+            if d >= end:
+                out *= q_full
+            elif cut:
+                out *= below_cut
+            else:
+                mass = 0.0
+                for a, b, fa, width in rows:
+                    if d < b:
+                        if d > a:
+                            mass += fd - fa
+                        break  # later intervals lie beyond d
+                    mass += width
+                out *= 1.0 - mass
         return out
 
     return evaluate
 
 
 def _opponent_rows(profile: StrategyProfile, cfg: GameConfig, i: int) -> tuple:
-    """Per opponent of node i, its :meth:`Strategy._cdf_rows`; validates the game.
+    """Node i's opponents' (end, q_full, cut, rows) entries; validates the game.
 
-    Both success kernels read these rows, checked only here and cached per law.
+    Both success kernels read them, checked only here.  Cached on the profile per law beside
+    every row's (end, node, width), sorted, and the count of strategies that are not cut-offs.
     """
     _check(profile, cfg)
     profile.check_index(i)
     dist, cached = cfg.distribution, profile._cdf_rows
     if cached is None or cached[0] is not dist:
-        cached = (dist, tuple(s._cdf_rows(dist) for s in profile.strategies))
+        table, bands = [], 0
+        for s in profile.strategies:
+            rows, mass = s._cdf_rows(dist), 0.0
+            for row in rows:
+                mass += row[3]
+            cut = not rows or rows[-1][0] == 0.0  # only a first interval can start at 0
+            table.append((rows[-1][1] if rows else 0.0, 1.0 - mass, cut, rows))
+            bands += not cut
+        by_end = tuple(sorted((b, j, w) for j, e in enumerate(table) for _, b, _, w in e[3]))
+        cached = (dist, tuple(table), by_end, bands)
         object.__setattr__(profile, "_cdf_rows", cached)
     return cached[1][:i] + cached[1][i + 1 :]
 
@@ -99,7 +121,7 @@ def success_probability(profile: StrategyProfile, cfg: GameConfig, i: int, d):
     arr = np.asarray(d, dtype=float)
     fd = cfg.distribution.cdf(arr)  # DomainError outside [0, R]
     out = np.ones(arr.shape)
-    for rows in opponents:
+    for *_, rows in opponents:
         out = out * (1.0 - _mass_below(arr, fd, rows))
     return float(out) if arr.ndim == 0 else out
 

@@ -10,12 +10,13 @@ by literally building each union and measuring it, which is the defining
 expression; the library computes the same quantity through the complement
 identity, and the tests compare the two.
 
-Three reference kernels, :func:`success_per_call`,
+Four reference kernels, :func:`success_per_call`, :func:`success_row_loop`,
 :func:`best_response_linear_scan` and :func:`closest_transmitter_distances`,
 instead repeat the library's own arithmetic in its plainest form (two CDF
-calls per interval per evaluation, a left-to-right breakpoint scan, every
-Monte Carlo draw mapped to a distance), so that the library's faster paths
-can be held to bit-for-bit equality with them.
+calls per interval per evaluation, one loop over every opponent's rows, a
+left-to-right breakpoint scan, every Monte Carlo draw mapped to a distance),
+so that the library's faster paths can be held to bit-for-bit equality with
+them.
 """
 
 from __future__ import annotations
@@ -128,6 +129,30 @@ def success_per_call(transmit_sets, cdf, i):
                 x = d if d < b else b
                 if x > a:
                     mass += cdf(x) - cdf(a)
+            out *= 1.0 - mass
+        return out
+
+    return evaluate
+
+
+def success_row_loop(opponents, cdf):
+    """Scalar success over per-opponent (a, b, F(a), F(b) - F(a)) rows, by one loop each.
+
+    The scalar kernel without its shortcuts for an opponent wholly below d
+    and for a cut-off opponent: every opponent's rows are summed, left to
+    right, up to the interval containing d.
+    """
+    def evaluate(d):
+        fd = cdf(d)
+        out = 1.0
+        for intervals in opponents:
+            mass = 0.0
+            for a, b, fa, width in intervals:
+                if d < b:
+                    if d > a:
+                        mass += fd - fa
+                    break  # later intervals lie beyond d
+                mass += width
             out *= 1.0 - mass
         return out
 

@@ -368,6 +368,38 @@ def test_best_response_takes_at_most_12_evaluations(monkeypatch):
             assert len(evals) / len(builds) <= 12.0, (n, dist.kind, len(evals) / len(builds))
 
 
+def test_a_lone_band_node_starts_from_the_closed_form_guess(monkeypatch):
+    # Node 0 is the profile's only band strategy, so its opponents are all
+    # cut-offs and its search starts at the closed-form guess; every other
+    # node has node 0 among its opponents and searches blind.  Either way the
+    # result is the linear scan's, bit for bit.
+    import ragame.best_response as br
+
+    guesses, cutoff_guess = [], br._cutoff_guess
+
+    def spy(*args):  # records (node, guess)
+        guesses.append((args[1], cutoff_guess(*args)))
+        return guesses[-1][1]
+
+    monkeypatch.setattr(br, "_cutoff_guess", spy)
+    rng = np.random.default_rng(30)
+    band = Strategy(radius=R, intervals=((1.0, 3.0), (5.0, 7.5)))
+    for dist in (DISK, *STEP_LAWS, random_increasing_cdf(rng, R)):
+        cutoffs = [Strategy.always(R), Strategy.never(R)]
+        cutoffs += [Strategy.threshold(rng.uniform(0.0, R), R) for _ in range(4)]
+        profile = StrategyProfile((band, *cutoffs))
+        cfg = GameConfig(distribution=dist, n=7, costs=random_costs(rng, 7))
+        transmit_sets = [s.intervals for s in profile.strategies]
+        guesses.clear()
+        for i in range(cfg.n):
+            result = best_response_threshold(profile, cfg, i)
+            expected = best_response_linear_scan(
+                transmit_sets, dist.cdf_scalar, R, i, cfg.costs[i]
+            )
+            assert (result.threshold, result.boundary_case, result.utility_at_threshold) == expected
+        assert len(guesses) == 1 and guesses[0][0] == 0 and math.isfinite(guesses[0][1])
+
+
 def test_best_response_reads_the_opponent_table_once(monkeypatch):
     # A best response sees its opponents only through the validated table:
     # one _opponent_rows call, and no walk over their Strategy objects.

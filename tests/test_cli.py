@@ -221,11 +221,14 @@ BOTH_ALWAYS = [{"threshold": 12.0}] * 2
         (GOOD_CONFIG, [{"threshold": 12.0}] * 3, "profile has 3 strategies for 2 nodes"),
         ([1, 2], BOTH_ALWAYS, "game config must be an object"),
         (NO_DISTRIBUTION, BOTH_ALWAYS, "game config missing 'distribution'"),
+        ({**GOOD_CONFIG, "distribution": [["kind", "uniform-disk"]]}, BOTH_ALWAYS,
+         "malformed game config: distribution spec must be an object, "
+         "got [['kind', 'uniform-disk']]"),
         (GOOD_CONFIG, {"threshold": 6.0}, "profile spec must be an array of strategy specs"),
         (GOOD_CONFIG, [{"threshold": 12.0}, 6.0], "strategy spec must be an object, got 6.0"),
     ],
-    ids=["three-strategies", "config-array", "config-no-distribution", "profile-object",
-         "strategy-number"],
+    ids=["three-strategies", "config-array", "config-no-distribution", "distribution-pairs",
+         "profile-object", "strategy-number"],
 )
 def test_ill_shaped_documents_exit_3(capsys, tmp_path, config, profile, message):
     config_path, profile_path = tmp_path / "config.json", tmp_path / "profile.json"

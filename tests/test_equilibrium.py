@@ -27,6 +27,7 @@ from ragame import (
 
 from tests.generators import random_config, random_profile
 from tests.oracles import symmetric_cutoff_direct
+from tests.test_output_bits import digest
 
 R = 12.0
 DISK = RadialDistribution.uniform_disk(R)
@@ -440,3 +441,16 @@ def test_report_unpacks_exactly_on_random_games():
         assert verify_nash(moved, cfg).as_dict() == _unpacked_as_dict(moved, cfg)
         bands = random_profile(rng, cfg.n, R)
         assert verify_nash(bands, cfg).as_dict() == _unpacked_as_dict(bands, cfg)
+
+
+def test_distinct_cost_disk_game_at_n_1000_keeps_its_output_bits():
+    # K = n: no two nodes share a check, so verify_nash runs 1000 best
+    # responses, each against 999 cut-off opponents.
+    costs = tuple(math.exp(math.log(0.1) + math.log(100.0) * k / 999) for k in range(1000))
+    cfg = GameConfig(distribution=DISK, n=1000, costs=costs)
+    report = solve_sequential(cfg)
+    assert report.is_nash
+    assert (
+        digest(cfg, report.profile)
+        == "ae0f31b4682e8d94194c0737a963c9655fcfd3ced331116f0c96863c63eb12e7"
+    )

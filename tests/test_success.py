@@ -17,10 +17,13 @@ from ragame import (
 from ragame.success import _opponent_rows, breakpoints, success_evaluator
 
 from tests.generators import (
+    STEP_LAWS,
+    random_cutoff_profile,
     random_distribution,
     random_increasing_cdf,
     random_near_tie_profile,
     random_profile,
+    random_strategy,
     random_threshold_profile,
 )
 from tests.oracles import (
@@ -28,6 +31,7 @@ from tests.oracles import (
     linear_cdf,
     success_direct,
     success_per_call,
+    success_row_loop,
     uniform_disk_cdf,
     union_measure,
 )
@@ -319,6 +323,48 @@ def test_evaluator_matches_per_call_cdf_kernel_bit_for_bit():
             assert [fast(d) for d in points] == [reference(d) for d in points]
             assert [success_probability(profile, cfg, i, d) for d in points[:5]] == [
                 reference(d) for d in points[:5]
+            ]
+
+
+def _mixed_profile(rng, n, radius):
+    """Cut-offs, bands, silent nodes and nodes at R, in random node order."""
+    makes = (
+        lambda: Strategy.threshold(rng.uniform(0.0, radius), radius),
+        lambda: random_strategy(rng, radius),
+        lambda: Strategy.never(radius),
+        lambda: Strategy.always(radius),
+    )
+    return StrategyProfile(tuple(makes[int(rng.integers(4))]() for _ in range(n)))
+
+
+def _lone_band_profile(rng, n, radius):
+    """Node 0 transmits on two bands and every other node is a cut-off (0 and R included)."""
+    band = Strategy(radius=radius, intervals=((1.0, 3.0), (5.0, 7.5)))
+    return StrategyProfile((band, *random_cutoff_profile(rng, n, radius).strategies[1:]))
+
+
+def test_kernel_shortcuts_match_the_row_loop_bit_for_bit():
+    # The kernel multiplies by 1 - F(d) below a cut-off and by the stored
+    # 1 - (sum of widths) past an opponent's last end; the row loop sums
+    # every opponent's rows.  Probes: 0, every end and its neighbouring
+    # floats, R and random points.
+    rng = np.random.default_rng(30)
+    makes = (random_threshold_profile, random_profile, _mixed_profile, _lone_band_profile,
+             random_cutoff_profile)
+    laws = (DISK, *STEP_LAWS)
+    for trial in range(150):
+        n = int(rng.integers(2, 9))
+        dist = laws[trial % len(laws)] if trial % 3 else random_increasing_cdf(rng, R)
+        profile = makes[trial % len(makes)](rng, n, R)
+        cfg = GameConfig(distribution=dist, n=n, costs=(1.0,) * n)
+        rows = [s._cdf_rows(dist) for s in profile.strategies]
+        points = _probe_points(profile, rng)
+        for i in range(n):
+            fast = success_evaluator(_opponent_rows(profile, cfg, i), dist.cdf_scalar)
+            reference = success_row_loop(rows[:i] + rows[i + 1 :], dist.cdf_scalar)
+            assert [fast(d) for d in points] == [reference(d) for d in points], (trial, i)
+            assert [success_probability(profile, cfg, i, d) for d in points[-3:]] == [
+                reference(d) for d in points[-3:]
             ]
 
 
